@@ -118,17 +118,20 @@ type Options struct {
 	// context.DeadlineExceeded). Nil leaves execution unbounded.
 	Ctx context.Context
 	// Artifacts optionally injects pre-built phase-1 artifacts (hash
-	// tables and bitvector filters) and receives the ones built by this
-	// run — the serving layer's shared artifact cache. A non-nil Table
-	// or Filter result is used as-is and skips that build entirely; a
-	// miss builds as usual and hands the result back via PutTable /
-	// PutFilter. Implementations must be safe for concurrent use (phase
-	// 1 fans out across relations) and must return structures built
-	// over the same relation, key column and selection mask this run
-	// would build — the cache guarantees that by keying on (dataset
-	// fingerprint, relation, key column, mask fingerprint). The SJ
-	// strategies never consult the provider: their tables are built
-	// from per-query semi-join-reduced masks, which are not shareable.
+	// tables, bitvector filters and semi-join reductions) and receives
+	// the ones built by this run — the serving layer's shared artifact
+	// cache. A non-nil Table, Filter or Reduced result is used as-is and
+	// skips that build entirely; a miss builds as usual and hands the
+	// result back via PutTable / PutFilter / PutReduced. Implementations
+	// must be safe for concurrent use (phase 1 fans out across
+	// relations) and must return structures built over the same
+	// relation, key column and selection mask this run would build —
+	// the cache guarantees that by keying on (dataset fingerprint,
+	// relation, key column, mask fingerprint). The SJ strategies look up
+	// a leaf's table like every other strategy (a leaf is reduced by
+	// nothing) and every other relation's reduction by its subtree: the
+	// reduction of p depends only on the relations below p, their
+	// selections and their semi-join child orders.
 	Artifacts Artifacts
 	// DriverRowMap, when non-nil, remaps driver row indices at emission:
 	// an output tuple whose driver component is shard-local row i is
@@ -178,9 +181,31 @@ type Artifacts interface {
 	Filter(id plan.NodeID) *bitvector.Filter
 	// PutFilter offers a freshly built default-density filter.
 	PutFilter(id plan.NodeID, f *bitvector.Filter)
+	// Reduced returns the cached semi-join reduction of interior
+	// relation or driver id, or nil on a miss. order fingerprints the
+	// semi-join child order of every node in id's subtree; the provider
+	// folds in the subtree's selections.
+	Reduced(id plan.NodeID, order uint64) *Reduction
+	// PutReduced offers a completed reduction of id.
+	PutReduced(id plan.NodeID, order uint64, red *Reduction)
 	// BytesCached reports the provider's current total cached bytes
 	// (Stats.BytesCached snapshots it after the run).
 	BytesCached() int64
+}
+
+// Reduction is the semi-join reduction of one relation against its
+// already-reduced children: what phase 2 needs from it, plus the
+// counters the reduction spent, which a cache hit replays so a warm SJ
+// run reports the same Stats as a cold one.
+type Reduction struct {
+	// Table is the hash table over the reduced relation (nil for the
+	// driver).
+	Table *hashtable.Table
+	// Live is the fully reduced driver mask (nil for other relations).
+	Live *storage.Bitmap
+	// Probes are the semi-join probes of this relation's own reduction
+	// and their tag split; the children's reductions are not included.
+	Probes hashtable.ProbeStats
 }
 
 // Stats are the measured execution counters.
@@ -578,11 +603,8 @@ func maskAt(masks []*storage.Bitmap, id plan.NodeID) *storage.Bitmap {
 // lets an artifact provider substitute a cached table for the build
 // without perturbing a single downstream counter.
 func (r *run) buildTables() {
-	t := r.ds.Tree
-	r.tables = make([]*hashtable.Table, t.Len())
+	r.tables = make([]*hashtable.Table, r.ds.Tree.Len())
 	per := r.perBuildParallelism()
-	arts := r.opts.Artifacts
-	stop := r.stopFn()
 	r.forEachNonRoot(func(id plan.NodeID) {
 		sp := r.opts.Trace.Start("build-relation", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(id))
@@ -591,41 +613,46 @@ func (r *run) buildTables() {
 			r.fail(err)
 			return
 		}
-		if arts != nil {
-			if tbl := arts.Table(id); tbl != nil {
-				r.tables[id] = tbl
-				r.cacheHits.Add(1)
-				r.opts.Trace.Annotate(sp, "cached", 1)
-				return
-			}
-		}
-		var tbl *hashtable.Table
-		if maskAt(r.selMasks, id) == nil {
-			// No selection: build in the versioned shape — packed part
-			// over the base region, tombstones, append sub-table — which
-			// is exactly what incremental repair maintains, so a cached
-			// artifact and a cold build are interchangeable bit for bit.
-			// For a fully packed, fully live relation this is the plain
-			// packed build.
-			tbl = hashtable.BuildVersioned(
-				r.ds.Relation(id), r.ds.KeyColumn(id),
-				r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), per, stop)
-		} else {
-			// Selection-shaped builds stay packed over the effective
-			// (selection ∧ liveness) mask; they are cache-keyed by mask
-			// fingerprint and version, never repaired.
-			tbl = hashtable.BuildParallelStop(
-				r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), per, stop)
-		}
-		if tbl == nil {
-			return // build abandoned by cancellation
-		}
-		r.tables[id] = tbl
-		if arts != nil {
-			arts.PutTable(id, tbl)
-			r.cacheMisses.Add(1)
-		}
+		r.tables[id] = r.relationTable(id, per, sp)
 	})
+}
+
+// relationTable returns relation id's hash table on its parent-join
+// key over its selection mask: served by the artifact provider when it
+// has one, otherwise built with per workers and offered back. Nil when
+// cancellation abandoned the build.
+func (r *run) relationTable(id plan.NodeID, per int, sp telemetry.SpanID) *hashtable.Table {
+	arts := r.opts.Artifacts
+	if arts != nil {
+		if tbl := arts.Table(id); tbl != nil {
+			r.cacheHits.Add(1)
+			r.opts.Trace.Annotate(sp, "cached", 1)
+			return tbl
+		}
+	}
+	var tbl *hashtable.Table
+	if maskAt(r.selMasks, id) == nil {
+		// No selection: build in the versioned shape — packed part
+		// over the base region, tombstones, append sub-table — which
+		// is exactly what incremental repair maintains, so a cached
+		// artifact and a cold build are interchangeable bit for bit.
+		// For a fully packed, fully live relation this is the plain
+		// packed build.
+		tbl = hashtable.BuildVersioned(
+			r.ds.Relation(id), r.ds.KeyColumn(id),
+			r.ds.BaseRows(id), r.ds.BaseLive(id), r.ds.Live(id), per, r.stopFn())
+	} else {
+		// Selection-shaped builds stay packed over the effective
+		// (selection ∧ liveness) mask; they are cache-keyed by mask
+		// fingerprint and version, never repaired.
+		tbl = hashtable.BuildParallelStop(
+			r.ds.Relation(id), r.ds.KeyColumn(id), maskAt(r.baseMasks, id), per, r.stopFn())
+	}
+	if tbl != nil && arts != nil {
+		arts.PutTable(id, tbl)
+		r.cacheMisses.Add(1)
+	}
+	return tbl
 }
 
 // buildFilters constructs one bitvector per non-root relation over its

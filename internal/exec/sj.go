@@ -30,75 +30,121 @@ import (
 // semiJoinPass reduces all relations bottom-up and leaves behind:
 // r.tables (hash tables over the reduced relations) and r.driverLive
 // (the fully reduced driver mask).
+//
+// With an artifact provider the pass is served one relation at a time.
+// A leaf is reduced by nothing, so its table is the relation's plain
+// table, shared with the other strategies (relationTable). Every other
+// relation's reduction is a function of its subtree alone — the
+// relations below it, their selections and their semi-join child
+// orders — and is looked up by that subtree (Artifacts.Reduced). A hit
+// replays the counters the reduction spent; a completed miss is
+// offered back unless the run was cancelled, since a cancelled
+// reduction may have skipped chunks.
 func (r *run) semiJoinPass() {
 	t := r.ds.Tree
 	r.tables = make([]*hashtable.Table, t.Len())
+	arts := r.opts.Artifacts
+	// orders[p] fingerprints the semi-join child order of p's subtree.
+	orders := make([]uint64, t.Len())
 
-	stop := r.stopFn()
-	var scratch *storage.Bitmap
+	scratch := storage.NewEmptyBitmap(0)
 	for _, p := range t.BottomUp() {
 		if r.cancelled() {
 			return
 		}
-		// One span per parent covers its sibling reductions and the
+		// One span per relation covers its sibling reductions and the
 		// (reduced) hash-table build together — the unit of phase-1
 		// work for SJ strategies.
 		sp := r.opts.Trace.Start("semijoin", r.phase1Span)
 		r.opts.Trace.Annotate(sp, "rel", int64(p))
 		children := r.semiJoinOrder(p)
-		rel := r.ds.Relation(p)
-		// Start from the pushed-down selection mask, if any.
-		mask := maskAt(r.baseMasks, p)
-		if len(children) > 0 {
-			if scratch == nil {
-				scratch = storage.NewEmptyBitmap(0)
+		if p != plan.Root && len(children) == 0 {
+			r.tables[p] = r.relationTable(p, r.opts.Parallelism, sp)
+			r.opts.Trace.End(sp)
+			continue
+		}
+		order := storage.FingerprintUint64(storage.FingerprintSeed, uint64(len(children)))
+		for _, c := range children {
+			order = storage.FingerprintUint64(order, uint64(c))
+			order = storage.FingerprintUint64(order, orders[c])
+		}
+		orders[p] = order
+		var red *Reduction
+		if arts != nil {
+			red = arts.Reduced(p, order)
+		}
+		if red != nil {
+			r.cacheHits.Add(1)
+			r.opts.Trace.Annotate(sp, "cached", 1)
+		} else {
+			if red = r.reduce(p, children, scratch); red == nil {
+				return // abandoned by cancellation or failure
 			}
-			if mask != nil {
-				scratch.CopyFrom(mask)
-			} else {
-				scratch.Reset(rel.NumRows())
-			}
-			mask = scratch
-			// Reductions of non-root parents never read the driver:
-			// they are pure build-side work, replicated identically in
-			// every shard of a partitioned dataset, and their counters
-			// go into the Build* split so the scatter-gather merge can
-			// count them once (see Stats.BuildSemiJoinProbes).
-			if len(children) > 1 && !r.opts.NoInterleave &&
-				(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
-				// Sibling reductions of one parent interleave as a
-				// word-skewed wavefront (semiJoinReduceMulti) whenever
-				// each would otherwise run sequentially on this
-				// goroutine; the chunked parallel reduction keeps the
-				// one-child-at-a-time sweep.
-				r.semiJoinReduceMulti(children, rel, mask, p != plan.Root)
-			} else {
-				for _, c := range children {
-					if r.cancelled() {
-						return
-					}
-					keyCol := rel.Column(r.ds.KeyColumn(c))
-					r.semiJoinReduce(r.tables[c], keyCol, mask, p != plan.Root)
-				}
+			if arts != nil && !r.cancelled() {
+				arts.PutReduced(p, order, red)
+				r.cacheMisses.Add(1)
 			}
 		}
+		r.addSemiJoinStats(red.Probes, p != plan.Root)
 		if p != plan.Root {
-			// Build the (reduced) hash table used both by later
-			// semi-joins from p's parent and by the phase-2 join. The
-			// build reads the mask before scratch is reused for the
-			// next parent.
-			tbl := hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, stop)
-			if tbl == nil {
-				return // build abandoned by cancellation
-			}
-			r.tables[p] = tbl
+			r.tables[p] = red.Table
 		} else {
-			// BottomUp visits the root last, so the scratch mask is
-			// never reset again and can be adopted as the driver mask.
-			r.driverLive = mask
+			r.driverLive = red.Live
 		}
 		r.opts.Trace.End(sp)
 	}
+}
+
+// reduce semi-joins relation p with its already-reduced children and
+// returns the result, or nil if the run was cancelled or failed on the
+// way. The mask is built in scratch, the pass's one reusable bitmap: a
+// parent's mask is only needed while its reductions and hash-table
+// build run, and the driver — visited last — adopts it as its reduced
+// mask.
+func (r *run) reduce(p plan.NodeID, children []plan.NodeID, scratch *storage.Bitmap) *Reduction {
+	rel := r.ds.Relation(p)
+	// Start from the pushed-down selection mask, if any.
+	mask := maskAt(r.baseMasks, p)
+	var st hashtable.ProbeStats
+	if len(children) > 0 {
+		if mask != nil {
+			scratch.CopyFrom(mask)
+		} else {
+			scratch.Reset(rel.NumRows())
+		}
+		mask = scratch
+		if len(children) > 1 && !r.opts.NoInterleave &&
+			(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
+			// Sibling reductions of one parent interleave as a
+			// word-skewed wavefront (semiJoinReduceMulti) whenever each
+			// would otherwise run sequentially on this goroutine; the
+			// chunked parallel reduction keeps the one-child-at-a-time
+			// sweep.
+			st = r.semiJoinReduceMulti(children, rel, mask)
+		} else {
+			for _, c := range children {
+				if r.cancelled() {
+					return nil
+				}
+				keyCol := rel.Column(r.ds.KeyColumn(c))
+				st.Add(r.semiJoinReduce(r.tables[c], keyCol, mask))
+			}
+		}
+	}
+	if r.cancelled() {
+		return nil
+	}
+	if p == plan.Root {
+		return &Reduction{Live: mask, Probes: st}
+	}
+	// Build the (reduced) hash table used both by later semi-joins from
+	// p's parent and by the phase-2 join. The build reads the mask
+	// before scratch is reused for the next parent.
+	tbl := hashtable.BuildParallelStop(rel, r.ds.KeyColumn(p), mask, r.opts.Parallelism, r.stopFn())
+	if tbl == nil {
+		return nil
+	}
+	return &Reduction{Table: tbl, Probes: st}
 }
 
 // minParallelReduceRows gates the chunked parallel reduction: tiny
@@ -111,16 +157,15 @@ const minParallelReduceRows = 4 * 1024
 // owns disjoint mask words, so the reduction is race-free and the
 // resulting mask — and the probe count, which counts exactly the set
 // bits — is identical at any worker count.
-func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask *storage.Bitmap, buildSide bool) {
+func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask *storage.Bitmap) hashtable.ProbeStats {
 	n := mask.Len()
 	p := r.opts.Parallelism
 	if p <= 1 || n < minParallelReduceRows {
 		if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
 			r.fail(err)
-			return
+			return hashtable.ProbeStats{}
 		}
-		r.addSemiJoinStats(table.ReduceLive(keyCol, mask, 0, n), buildSide)
-		return
+		return table.ReduceLive(keyCol, mask, 0, n)
 	}
 	nWords := (n + 63) / 64
 	if p > nWords {
@@ -141,7 +186,8 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 			r.guard("sj-reduce", func() {
 				// Poll between reduction chunks: a chunk skipped after
 				// cancellation leaves its mask words unreduced, which is
-				// fine — the run aborts before the mask is consumed.
+				// fine — the run aborts before the mask is consumed, and
+				// semiJoinPass never publishes it.
 				if r.cancelled() {
 					return
 				}
@@ -157,11 +203,11 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 		}(lo, hi)
 	}
 	wg.Wait()
-	r.addSemiJoinStats(hashtable.ProbeStats{
+	return hashtable.ProbeStats{
 		Probed:    int(probed.Load()),
 		TagHits:   int(tagHits.Load()),
 		TagMisses: int(tagMisses.Load()),
-	}, buildSide)
+	}
 }
 
 // semiJoinReduceMulti reduces one parent's mask against all of its
@@ -170,22 +216,21 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 // ever probes the bits children 0..j-1 left set in that word — the
 // exact bits the sequential child-after-child sweep would probe —
 // while up to len(children) different tables have directory loads in
-// flight at once. Per-child stats accumulate separately and are folded
-// in child order, and each child fires the reduce-chunk failpoint once
+// flight at once. Each child fires the reduce-chunk failpoint once
 // before its first word, matching the sequential path's fire sequence;
 // a failure or cancellation abandons the wavefront exactly as it
 // abandons the sequential sweep (the run discards the partial mask).
-func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap, buildSide bool) {
+func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap) hashtable.ProbeStats {
 	m := len(children)
 	keyCols := make([]storage.Column, m)
 	for j, c := range children {
 		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
 	}
-	stats := make([]hashtable.ProbeStats, m)
+	var st hashtable.ProbeStats
 	nWords := (mask.Len() + 63) / 64
 	for step := 0; step < nWords+m-1; step++ {
 		if r.cancelled() {
-			return
+			return hashtable.ProbeStats{}
 		}
 		jlo := 0
 		if step >= nWords {
@@ -200,10 +245,10 @@ func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation,
 			if wi == 0 {
 				if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
 					r.fail(err)
-					return
+					return hashtable.ProbeStats{}
 				}
 			}
-			stats[j].Add(r.tables[children[j]].ReduceLiveWords(keyCols[j], mask, wi, wi+1))
+			st.Add(r.tables[children[j]].ReduceLiveWords(keyCols[j], mask, wi, wi+1))
 		}
 	}
 	if nWords == 0 {
@@ -212,13 +257,11 @@ func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation,
 		for range children {
 			if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
 				r.fail(err)
-				return
+				return hashtable.ProbeStats{}
 			}
 		}
 	}
-	for _, st := range stats {
-		r.addSemiJoinStats(st, buildSide)
-	}
+	return st
 }
 
 // addSemiJoinStats folds one reduction's probe stats into the run

@@ -3,39 +3,57 @@ package service
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"m2mjoin/internal/bitvector"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/hashtable"
 	"m2mjoin/internal/plan"
+	"m2mjoin/internal/storage"
 )
 
 // This file implements the shared build-artifact cache: a bounded LRU
-// over the immutable phase-1 structures (hash tables and bitvector
-// filters) keyed by everything that determines their bits — dataset
-// lineage fingerprint and version, relation, key column and
-// selection-mask fingerprint. A hit hands the executor the exact
-// structure a fresh build would produce, so a warm query skips phase 1
-// entirely with bit-identical Stats and checksum; eviction merely
-// drops the cache's reference, running queries keep probing their copy
-// (the structures are read-only after build, see PR 4).
+// over the immutable phase-1 structures — hash tables, bitvector
+// filters and semi-join reductions — keyed by everything that
+// determines their bits: dataset lineage fingerprint and version,
+// relation, key column and a shape fingerprint (the relation's
+// selections, or for a reduction its whole subtree's). A hit hands the
+// executor the exact structure a fresh build would produce, so a warm
+// query skips phase 1 entirely with bit-identical Stats and checksum;
+// eviction merely drops the cache's reference, running queries keep
+// probing their copy (the structures are read-only after build).
+//
+// The SJ strategies share the cache relation by relation. A leaf is
+// reduced by nothing, so its reduced table is its plain table (a
+// kindTable entry, shared with the other strategies). Every other
+// relation's reduction depends only on its subtree: the subtree's
+// relations at this snapshot, their selections and the semi-join child
+// order of each subtree node. A kindReduced entry is keyed by exactly
+// that — its shape folds the subtree's per-relation selection
+// fingerprints into the executor's child-order fingerprint — and holds
+// the reduced table (interior relations) or the reduced driver mask
+// (the root), plus the semi-join counters the reduction spent, which a
+// hit replays.
 //
 // Versioned datasets (PR 8) re-key artifacts per snapshot: the dataset
 // field is the snapshot's lineage fingerprint (storage.Dataset.
 // VersionFingerprint, which folds the version number and mutation
 // stream into the registered content fingerprint), so two versions of
 // one dataset never collide and equal replayed lineages share. The
-// serving layer repairs unselected artifacts onto the new key at
-// commit time (see mutate.go) and purges keys of retired versions
-// through purge.
+// serving layer carries artifacts onto the new key at commit time (see
+// mutate.go): unselected tables and filters are repaired, and a
+// reduction whose subtree the commit did not touch is re-inserted as
+// is, so a commit costs the next SJ query only the touched relations'
+// ancestors. Keys of retired versions are purged through purge.
 
-// artifactKind distinguishes the two cached structure types.
+// artifactKind distinguishes the cached structure types.
 type artifactKind uint8
 
 const (
 	kindTable artifactKind = iota
 	kindFilter
+	kindReduced
 )
 
 // artifactKey identifies one cached build artifact. Two queries agree
@@ -43,23 +61,25 @@ const (
 // structures: same dataset snapshot (lineage fingerprint + version
 // number — the fingerprint alone suffices, the number makes retention
 // predicates direct), same relation, same join-key column, and the
-// same pushed-down selection set on that relation (maskFP, 0 for no
-// selections).
+// same shape. For tables and filters the shape is the pushed-down
+// selection set on the relation (0 for no selections); for reductions
+// it is the subtree fingerprint (queryArtifacts.subtree).
 type artifactKey struct {
 	dataset uint64
 	version uint64
 	rel     plan.NodeID
 	keyCol  string
-	maskFP  uint64
+	shape   uint64
 	kind    artifactKind
 }
 
 // cacheEntry is one resident artifact with its byte charge.
 type cacheEntry struct {
-	key    artifactKey
-	table  *hashtable.Table
-	filter *bitvector.Filter
-	bytes  int64
+	key     artifactKey
+	table   *hashtable.Table
+	filter  *bitvector.Filter
+	reduced *exec.Reduction
+	bytes   int64
 }
 
 // CacheStats is a snapshot of cache-wide counters.
@@ -124,8 +144,13 @@ func (c *artifactCache) get(key artifactKey) *cacheEntry {
 // byte budget holds. An artifact larger than the whole budget is not
 // admitted (the budget is a hard bound, not a soft target); a racing
 // duplicate insert keeps the resident entry (both are bit-identical by
-// construction).
-func (c *artifactCache) put(e *cacheEntry) {
+// construction). Nor is an artifact of a version below retired (nil =
+// none is): a query that outlived its snapshot's retention would
+// otherwise re-insert keys the commit already purged, and nothing
+// would purge them again. The check runs under the cache lock, and
+// Mutate raises retired before it purges, so an insert either sees the
+// new bound or lands before the purge removes it.
+func (c *artifactCache) put(e *cacheEntry, retired *atomic.Uint64) {
 	// Insert failpoint, armed by the chaos suite. An injected error
 	// drops the insert — the cache is strictly best-effort, so the
 	// inserting query still succeeds and a later query rebuilds; an
@@ -137,7 +162,7 @@ func (c *artifactCache) put(e *cacheEntry) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e.bytes > c.limit {
+	if e.bytes > c.limit || retired != nil && e.key.version < retired.Load() {
 		return
 	}
 	if _, ok := c.entries[e.key]; ok {
@@ -169,6 +194,20 @@ func (c *artifactCache) peek(key artifactKey) *cacheEntry {
 		return el.Value.(*cacheEntry)
 	}
 	return nil
+}
+
+// matching returns the entries whose key satisfies pred, without
+// touching the hit/miss counters or the LRU order (see peek).
+func (c *artifactCache) matching(pred func(artifactKey) bool) []*cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []*cacheEntry
+	for _, el := range c.entries {
+		if e := el.Value.(*cacheEntry); pred(e.key) {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // purge drops every entry whose key satisfies pred and returns the
@@ -217,13 +256,16 @@ func (c *artifactCache) stats() CacheStats {
 }
 
 // queryArtifacts adapts the shared cache to one query's exec.Artifacts
-// view: it closes over the dataset fingerprint, the per-relation join
-// keys and the per-relation selection fingerprints, so the executor's
-// relation-indexed lookups resolve to fully qualified cache keys.
+// view: it closes over the dataset fingerprint, the join tree, the
+// per-relation join keys and the per-relation selection fingerprints,
+// so the executor's relation-indexed lookups resolve to fully
+// qualified cache keys.
 type queryArtifacts struct {
 	cache   *artifactCache
-	dataset uint64   // executing snapshot's lineage fingerprint
-	version uint64   // executing snapshot's version number
+	dataset uint64         // executing snapshot's lineage fingerprint
+	version uint64         // executing snapshot's version number
+	retired *atomic.Uint64 // the dataset's retention floor (see put)
+	tree    *plan.Tree
 	keyCols []string // indexed by NodeID; "" for the root
 	maskFPs []uint64 // indexed by NodeID; 0 = no selections
 }
@@ -234,9 +276,26 @@ func (q *queryArtifacts) key(id plan.NodeID, kind artifactKind) artifactKey {
 		version: q.version,
 		rel:     id,
 		keyCol:  q.keyCols[id],
-		maskFP:  q.maskFPs[id],
+		shape:   q.maskFPs[id],
 		kind:    kind,
 	}
+}
+
+// reducedKey keys the reduction of id: its shape is the subtree
+// fingerprint — the executor's child-order fingerprint with the
+// selection fingerprint of every subtree relation folded in, pre-order.
+func (q *queryArtifacts) reducedKey(id plan.NodeID, order uint64) artifactKey {
+	k := q.key(id, kindReduced)
+	k.shape = q.subtree(order, id)
+	return k
+}
+
+func (q *queryArtifacts) subtree(h uint64, id plan.NodeID) uint64 {
+	h = storage.FingerprintUint64(h, q.maskFPs[id])
+	for _, c := range q.tree.Children(id) {
+		h = q.subtree(h, c)
+	}
+	return h
 }
 
 func (q *queryArtifacts) Table(id plan.NodeID) *hashtable.Table {
@@ -247,7 +306,7 @@ func (q *queryArtifacts) Table(id plan.NodeID) *hashtable.Table {
 }
 
 func (q *queryArtifacts) PutTable(id plan.NodeID, t *hashtable.Table) {
-	q.cache.put(&cacheEntry{key: q.key(id, kindTable), table: t, bytes: t.MemoryBytes()})
+	q.cache.put(&cacheEntry{key: q.key(id, kindTable), table: t, bytes: t.MemoryBytes()}, q.retired)
 }
 
 func (q *queryArtifacts) Filter(id plan.NodeID) *bitvector.Filter {
@@ -258,7 +317,25 @@ func (q *queryArtifacts) Filter(id plan.NodeID) *bitvector.Filter {
 }
 
 func (q *queryArtifacts) PutFilter(id plan.NodeID, f *bitvector.Filter) {
-	q.cache.put(&cacheEntry{key: q.key(id, kindFilter), filter: f, bytes: f.MemoryBytes()})
+	q.cache.put(&cacheEntry{key: q.key(id, kindFilter), filter: f, bytes: f.MemoryBytes()}, q.retired)
+}
+
+func (q *queryArtifacts) Reduced(id plan.NodeID, order uint64) *exec.Reduction {
+	if e := q.cache.get(q.reducedKey(id, order)); e != nil {
+		return e.reduced
+	}
+	return nil
+}
+
+func (q *queryArtifacts) PutReduced(id plan.NodeID, order uint64, red *exec.Reduction) {
+	var bytes int64
+	if red.Table != nil {
+		bytes = red.Table.MemoryBytes()
+	}
+	if red.Live != nil {
+		bytes += int64(len(red.Live.Words())) * 8
+	}
+	q.cache.put(&cacheEntry{key: q.reducedKey(id, order), reduced: red, bytes: bytes}, q.retired)
 }
 
 func (q *queryArtifacts) BytesCached() int64 { return q.cache.bytesCached() }

@@ -5,20 +5,20 @@ import (
 )
 
 func tkey(i int) artifactKey {
-	return artifactKey{dataset: 1, rel: 1, keyCol: "k", maskFP: uint64(i), kind: kindTable}
+	return artifactKey{dataset: 1, rel: 1, keyCol: "k", shape: uint64(i), kind: kindTable}
 }
 
 // TestCacheLRUOrder: get promotes, put evicts from the cold end.
 func TestCacheLRUOrder(t *testing.T) {
 	c := newArtifactCache(300)
 	for i := 0; i < 3; i++ {
-		c.put(&cacheEntry{key: tkey(i), bytes: 100})
+		c.put(&cacheEntry{key: tkey(i), bytes: 100}, nil)
 	}
 	// Touch 0 so 1 becomes the LRU victim.
 	if c.get(tkey(0)) == nil {
 		t.Fatal("resident entry missed")
 	}
-	c.put(&cacheEntry{key: tkey(3), bytes: 100})
+	c.put(&cacheEntry{key: tkey(3), bytes: 100}, nil)
 	if c.get(tkey(1)) != nil {
 		t.Fatal("LRU victim survived eviction")
 	}
@@ -37,8 +37,8 @@ func TestCacheLRUOrder(t *testing.T) {
 // must not evict the resident set to make room for a failed insert.
 func TestCacheRejectsOversizedArtifact(t *testing.T) {
 	c := newArtifactCache(300)
-	c.put(&cacheEntry{key: tkey(0), bytes: 200})
-	c.put(&cacheEntry{key: tkey(1), bytes: 500})
+	c.put(&cacheEntry{key: tkey(0), bytes: 200}, nil)
+	c.put(&cacheEntry{key: tkey(1), bytes: 500}, nil)
 	if c.get(tkey(1)) != nil {
 		t.Fatal("oversized artifact admitted")
 	}
@@ -54,8 +54,8 @@ func TestCacheRejectsOversizedArtifact(t *testing.T) {
 // same key twice; the second offer must not double-charge the budget.
 func TestCacheDuplicatePutKeepsResident(t *testing.T) {
 	c := newArtifactCache(300)
-	c.put(&cacheEntry{key: tkey(0), bytes: 100})
-	c.put(&cacheEntry{key: tkey(0), bytes: 100})
+	c.put(&cacheEntry{key: tkey(0), bytes: 100}, nil)
+	c.put(&cacheEntry{key: tkey(0), bytes: 100}, nil)
 	if st := c.stats(); st.Bytes != 100 || st.Entries != 1 {
 		t.Fatalf("duplicate put double-charged: %+v", st)
 	}

@@ -214,65 +214,81 @@ func TestChaosProbabilisticSweep(t *testing.T) {
 // TestCancelRacingCacheMissLeavesCacheClean: cancelling a query while
 // it is mid-build (a cache miss in flight) must never leave a partial
 // artifact behind — artifacts are inserted only after a complete
-// build. A delay failpoint stretches the build so the cancellation
-// reliably lands inside it; afterwards, concurrent warm queries must
-// be bit-identical to the fault-free baseline.
+// build, and a semi-join reduction only when it completed uncancelled
+// (a cancelled reduction skips chunks and leaves mask words
+// unreduced). A delay failpoint stretches the build or reduction so
+// the cancellation reliably lands inside it; afterwards, concurrent
+// warm queries must be bit-identical to the fault-free baseline.
 func TestCancelRacingCacheMissLeavesCacheClean(t *testing.T) {
-	ds := genDataset(t, 3000, 11)
-	svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
-	req := chaosRequest("BVP+COM") // tables and filters: most artifact kinds
+	for _, tc := range []struct {
+		strategy, site string
+		// step spaces the ten cancellations so they sweep the whole
+		// stretched phase 1: SJ fires its failpoint a dozen times per
+		// query, ending with the driver's reduction.
+		step time.Duration
+	}{
+		{"BVP+COM", faultinject.SiteBuildMorsel, 500 * time.Microsecond}, // tables and filters
+		{"SJ+COM", faultinject.SiteReduceChunk, 2 * time.Millisecond},    // tables, reduced tables and the driver mask
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			ds := genDataset(t, 3000, 11)
+			svc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
+			if _, err := svc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
+			}
+			req := chaosRequest(tc.strategy)
 
-	baseSvc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
-	if _, err := baseSvc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
-	baseRes, err := baseSvc.Query(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := stripCache(baseRes.Stats)
-
-	// Stretch every build morsel so cancellation lands mid-build.
-	faultinject.Enable(faultinject.Spec{
-		Site: faultinject.SiteBuildMorsel, Mode: faultinject.ModeDelay,
-		Every: 1, Delay: 2 * time.Millisecond,
-	})
-	for i := 0; i < 10; i++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := svc.Query(ctx, req)
-			done <- err
-		}()
-		time.Sleep(time.Duration(i) * 500 * time.Microsecond)
-		cancel()
-		<-done // success or cancellation — both fine; the invariant is below
-	}
-	faultinject.Disable()
-
-	// Two concurrent queries on whatever the races left cached: both
-	// must succeed with fault-free bits.
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := svc.Query(context.Background(), req)
+			baseSvc := New(Config{Parallelism: 4, MaxConcurrent: 2, CacheBytes: 64 << 20})
+			if _, err := baseSvc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
+			}
+			baseRes, err := baseSvc.Query(context.Background(), req)
 			if err != nil {
-				t.Errorf("post-race query failed: %v", err)
-				return
+				t.Fatal(err)
 			}
-			if got := stripCache(res.Stats); !reflect.DeepEqual(got, baseline) {
-				t.Errorf("post-race query diverged (partial artifact?):\nbase %+v\ngot  %+v",
-					baseline, got)
+			baseline := stripCache(baseRes.Stats)
+
+			// Stretch every build morsel or reduction chunk so
+			// cancellation lands mid-build.
+			faultinject.Enable(faultinject.Spec{
+				Site: tc.site, Mode: faultinject.ModeDelay,
+				Every: 1, Delay: 2 * time.Millisecond,
+			})
+			for i := 0; i < 10; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				done := make(chan error, 1)
+				go func() {
+					_, err := svc.Query(ctx, req)
+					done <- err
+				}()
+				time.Sleep(time.Duration(i) * tc.step)
+				cancel()
+				<-done // success or cancellation — both fine; the invariant is below
 			}
-		}()
-	}
-	wg.Wait()
-	if st := svc.Stats(); st.Active != 0 || st.Queued != 0 {
-		t.Fatalf("leaked admission state: active=%d queued=%d", st.Active, st.Queued)
+			faultinject.Disable()
+
+			// Two concurrent queries on whatever the races left cached:
+			// both must succeed with fault-free bits.
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := svc.Query(context.Background(), req)
+					if err != nil {
+						t.Errorf("post-race query failed: %v", err)
+						return
+					}
+					if got := stripCache(res.Stats); !reflect.DeepEqual(got, baseline) {
+						t.Errorf("post-race query diverged (partial artifact?):\nbase %+v\ngot  %+v",
+							baseline, got)
+					}
+				}()
+			}
+			wg.Wait()
+			if st := svc.Stats(); st.Active != 0 || st.Queued != 0 {
+				t.Fatalf("leaked admission state: active=%d queued=%d", st.Active, st.Queued)
+			}
+		})
 	}
 }

@@ -217,7 +217,15 @@ func TestDrainFinishesInFlight(t *testing.T) {
 		inflight <- err
 	}()
 	<-started
-	time.Sleep(5 * time.Millisecond) // let it get admitted and probing
+	// Let it get admitted and probing: planning comes first and may
+	// take longer than any fixed sleep on a loaded machine.
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Active == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("slow query never admitted")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	time.Sleep(5 * time.Millisecond)
 	svc.StartDrain()
 
 	// New work is shed immediately.

@@ -181,9 +181,10 @@ type LoadReport struct {
 
 // StandardMix registers a mixed-shape set of generated datasets on the
 // service and returns a template list over them: per dataset an
-// auto-planned query, two fixed-strategy queries (one build-bound, one
-// cache-bypassing SJ), and a selection variant that keys separate
-// artifacts — mixed hit/miss traffic by construction.
+// auto-planned query, two fixed-strategy queries (one build-bound BVP,
+// one SJ whose semi-join reductions are cached per subtree), and a
+// selection variant that keys separate artifacts — mixed hit/miss
+// traffic by construction.
 func StandardMix(s *Service, rows int, seed int64) ([]Request, error) {
 	if rows <= 0 {
 		rows = 5000

@@ -20,13 +20,18 @@ import (
 //     the swap keep their pinned snapshot (copy-on-write columns and
 //     liveness make the old version immutable), queries admitted after
 //     see the new one — snapshot isolation with no reader locks;
-//   - unselected (maskFP == 0) cached artifacts of the previous version
-//     are repaired in place onto the new version's cache keys: tables
-//     via hashtable.ApplyDelta (O(delta), bit-identical to a cold
-//     build), filters via Clone + AddKeys (OR-monotone), untouched
+//   - unselected (shape == 0) cached tables and filters of the previous
+//     version are repaired in place onto the new version's cache keys:
+//     tables via hashtable.ApplyDelta (O(delta), bit-identical to a
+//     cold build), filters via Clone + AddKeys (OR-monotone), untouched
 //     relations by re-inserting the same pointers under the new key.
 //     Compacted relations are skipped — the next query rebuilds them
 //     cold, which is the only correct shape after a geometry change;
+//   - semi-join reductions whose subtree the commit did not touch are
+//     re-inserted under the new key with the same pointer, whatever
+//     their selections: a reduction depends on nothing outside its
+//     subtree. Those of touched relations and their ancestors (always
+//     the driver's) are not carried and rebuild on next use;
 //   - memoized shard partitions advance through shard.Advance, routing
 //     the driver delta through the same row assignment, so per-shard
 //     version fingerprints stay in lockstep with the parent chain;
@@ -150,6 +155,7 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 		}
 		e.versions = e.versions[1:]
 	}
+	e.retired.Store(e.versions[0].number)
 	e.head.Store(v.Dataset)
 	e.shardMu.Unlock()
 	if purged != nil {
@@ -183,11 +189,13 @@ func (s *Service) Mutate(ctx context.Context, req MutateRequest) (MutateResult, 
 
 // repairArtifacts carries the previous snapshot's cached phase-1
 // artifacts onto the committed version's cache keys. Only unselected
-// artifacts (maskFP == 0) are repaired — selection-shaped masks would
-// need re-evaluation against the new liveness, so they rebuild cold on
-// next use, as do relations the commit compacted. Repaired tables are
-// produced by hashtable.ApplyDelta and filters by Clone + AddKeys,
-// both bit-identical to a cold build of the new version; untouched
+// tables and filters (shape == 0) are repaired — selection-shaped
+// masks would need re-evaluation against the new liveness, so they
+// rebuild cold on next use, as do relations the commit compacted.
+// Semi-join reductions are carried when no relation of their subtree
+// was touched, selected or not, and left behind otherwise. Repaired
+// tables are produced by hashtable.ApplyDelta and filters by Clone +
+// AddKeys, both bit-identical to a cold build of the new version; untouched
 // relations re-insert the same immutable pointers under the new key
 // (their bytes are double-charged until the old version is purged —
 // the shared backing arrays make the real cost far smaller, and
@@ -219,7 +227,7 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 					Deleted:      d.Deleted,
 				}, s.cfg.Parallelism, nil)
 			}
-			s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()})
+			s.cache.put(&cacheEntry{key: nkey, table: nt, bytes: nt.MemoryBytes()}, nil)
 			repaired++
 		}
 		okey.kind, nkey.kind = kindFilter, kindFilter
@@ -232,9 +240,27 @@ func (s *Service) repairArtifacts(e *datasetEntry, cur *storage.Dataset, v stora
 				col := newDS.Relation(id).Column(keyCol)
 				nf.AddKeys(col[d.AppendedFrom:])
 			}
-			s.cache.put(&cacheEntry{key: nkey, filter: nf, bytes: nf.MemoryBytes()})
+			s.cache.put(&cacheEntry{key: nkey, filter: nf, bytes: nf.MemoryBytes()}, nil)
 			repaired++
 		}
+	}
+
+	// A relation's reduction is stale when it or a descendant was
+	// touched: mark every touched relation and its ancestors.
+	stale := make([]bool, newDS.Tree.Len())
+	for id := range deltaOf {
+		stale[id] = true
+		for _, a := range newDS.Tree.PathToRoot(id) {
+			stale[a] = true
+		}
+	}
+	for _, ent := range s.cache.matching(func(k artifactKey) bool {
+		return k.kind == kindReduced && k.dataset == oldFP && k.version == oldVer && !stale[k.rel]
+	}) {
+		nkey := ent.key
+		nkey.dataset, nkey.version = v.Fingerprint, v.Number
+		s.cache.put(&cacheEntry{key: nkey, reduced: ent.reduced, bytes: ent.bytes}, nil)
+		repaired++
 	}
 	return repaired
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"m2mjoin/internal/core"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/plan"
 	"m2mjoin/internal/storage"
@@ -17,7 +18,12 @@ import (
 // ids, so they join like resident rows) and one delete. Applying the
 // same steps to a replica dataset walks the identical version chain.
 func testOps(ds *storage.Dataset, step int) []MutationSpec {
-	id := plan.NodeID(1) // "R2" in every generated shape
+	return relOps(ds, plan.NodeID(1), step) // "R2" in every generated shape
+}
+
+// relOps is testOps against relation id.
+func relOps(ds *storage.Dataset, id plan.NodeID, step int) []MutationSpec {
+	name := ds.Tree.Name(id)
 	rel := ds.Relation(id)
 	clone := func(n int) []int64 {
 		vals := make([]int64, rel.NumCols())
@@ -28,9 +34,9 @@ func testOps(ds *storage.Dataset, step int) []MutationSpec {
 		return vals
 	}
 	return []MutationSpec{
-		{Op: "append", Relation: "R2", Values: clone(0)},
-		{Op: "append", Relation: "R2", Values: clone(1)},
-		{Op: "delete", Relation: "R2", Row: step + 1},
+		{Op: "append", Relation: name, Values: clone(0)},
+		{Op: "append", Relation: name, Values: clone(1)},
+		{Op: "delete", Relation: name, Row: step + 1},
 	}
 }
 
@@ -107,57 +113,91 @@ func TestMutateBasicsAndValidation(t *testing.T) {
 }
 
 // TestMutateRepairKeepsCacheWarm: after a small committed delta, the
-// very next query must land entirely on repaired artifacts (zero
-// misses) and answer bit-identically to the brute-force oracle on the
-// new version — the tentpole's warm-under-writes property.
+// very next query must land on carried-over artifacts and answer
+// bit-identically to the brute-force oracle on the new version — the
+// warm-under-writes property. BVP+COM repairs every table and filter,
+// so it must not miss at all. SJ+COM, with the commit on a leaf,
+// repairs every leaf table and carries every reduction whose subtree
+// misses the leaf, so it must miss exactly the leaf's ancestors'
+// reductions and the driver's, and its Stats must equal a cold run on
+// a fresh service at the new version.
 func TestMutateRepairKeepsCacheWarm(t *testing.T) {
-	svc := New(Config{Parallelism: 4, MaxConcurrent: 2})
-	ds := genDataset(t, 2000, 5)
-	replica := genDataset(t, 2000, 5)
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	nrel := ds.Tree.Len()
-	req := Request{Dataset: "ds", Strategy: "BVP+COM", FlatOutput: true}
+	leaf := plan.NodeID(2) // R3, a leaf under R2 in snowflake32
+	for _, tc := range []struct {
+		strategy string
+		rel      plan.NodeID
+		misses   int // relations whose artifacts the commit invalidates
+	}{
+		{"BVP+COM", plan.NodeID(1), 0},
+		{"SJ+COM", leaf, 2}, // R2's and the driver's reductions
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			svc := New(Config{Parallelism: 4, MaxConcurrent: 2})
+			ds := genDataset(t, 2000, 5)
+			replica := genDataset(t, 2000, 5)
+			if !ds.Tree.IsLeaf(leaf) || ds.Tree.Parent(leaf) != plan.NodeID(1) {
+				t.Fatal("R3 is not a leaf under R2")
+			}
+			if _, err := svc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			nrel := ds.Tree.Len()
+			req := Request{Dataset: "ds", Strategy: tc.strategy, FlatOutput: true}
 
-	if _, err := svc.Query(ctx, req); err != nil {
-		t.Fatal(err)
-	}
+			if _, err := svc.Query(ctx, req); err != nil {
+				t.Fatal(err)
+			}
 
-	ops := testOps(replica, 0)
-	mres, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: ops})
-	if err != nil {
-		t.Fatal(err)
-	}
-	replicaV1 := applyOps(t, replica, ops)
-	if len(mres.Compacted) > 0 {
-		t.Fatalf("small delta compacted %v; the warm-repair assertion needs an uncompacted commit", mres.Compacted)
-	}
-	// Every cached artifact of v0 — one table and one filter per
-	// non-root relation — must have been carried onto v1.
-	if want := 2 * (nrel - 1); mres.Repaired != want {
-		t.Fatalf("Repaired = %d, want %d", mres.Repaired, want)
-	}
+			ops := relOps(replica, tc.rel, 0)
+			mres, err := svc.Mutate(ctx, MutateRequest{Dataset: "ds", Ops: ops})
+			if err != nil {
+				t.Fatal(err)
+			}
+			replicaV1 := applyOps(t, replica, ops)
+			if len(mres.Compacted) > 0 {
+				t.Fatalf("small delta compacted %v; the warm-repair assertion needs an uncompacted commit", mres.Compacted)
+			}
+			all := int(artifactCount(tc.strategy, nrel))
+			if want := all - tc.misses; mres.Repaired != want {
+				t.Fatalf("Repaired = %d, want %d", mres.Repaired, want)
+			}
 
-	warm, err := svc.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Version != 1 {
-		t.Fatalf("post-commit query ran on version %d, want 1", warm.Version)
-	}
-	if want := artifactCount("BVP+COM", nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 {
-		t.Fatalf("post-commit query: hits=%d misses=%d, want %d/0 (repair missed)",
-			warm.Stats.CacheHits, warm.Stats.CacheMisses, want)
-	}
-	wantCount, wantSum := exec.Reference(replicaV1)
-	if warm.Stats.OutputTuples != wantCount || warm.Stats.Checksum != wantSum {
-		t.Fatalf("repaired-artifact answer diverged from oracle: count %d/%d checksum %x/%x",
-			warm.Stats.OutputTuples, wantCount, warm.Stats.Checksum, wantSum)
-	}
-	if st := svc.Stats(); st.Repairs != int64(mres.Repaired) {
-		t.Fatalf("Stats.Repairs = %d, want %d", st.Repairs, mres.Repaired)
+			warm, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warm.Version != 1 {
+				t.Fatalf("post-commit query ran on version %d, want 1", warm.Version)
+			}
+			if warm.Stats.CacheHits != int64(all-tc.misses) || warm.Stats.CacheMisses != int64(tc.misses) {
+				t.Fatalf("post-commit query: hits=%d misses=%d, want %d/%d",
+					warm.Stats.CacheHits, warm.Stats.CacheMisses, all-tc.misses, tc.misses)
+			}
+			wantCount, wantSum := exec.Reference(replicaV1)
+			if warm.Stats.OutputTuples != wantCount || warm.Stats.Checksum != wantSum {
+				t.Fatalf("repaired-artifact answer diverged from oracle: count %d/%d checksum %x/%x",
+					warm.Stats.OutputTuples, wantCount, warm.Stats.Checksum, wantSum)
+			}
+			if st := svc.Stats(); st.Repairs != int64(mres.Repaired) {
+				t.Fatalf("Stats.Repairs = %d, want %d", st.Repairs, mres.Repaired)
+			}
+
+			fresh := New(Config{Parallelism: 4, MaxConcurrent: 2})
+			if _, err := fresh.RegisterDataset("ds", replicaV1); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := fresh.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Version != 1 {
+				t.Fatalf("fresh service runs version %d, want 1", cold.Version)
+			}
+			if !reflect.DeepEqual(stripCache(cold.Stats), stripCache(warm.Stats)) {
+				t.Fatalf("repaired run differs from a cold run at v1:\ncold %+v\nwarm %+v", cold.Stats, warm.Stats)
+			}
+		})
 	}
 }
 
@@ -298,6 +338,26 @@ func TestMutateRetentionPurgesSupersededVersions(t *testing.T) {
 	}
 	if keysWith(m1.Fingerprint) == 0 || keysWith(m2.Fingerprint) == 0 {
 		t.Fatal("retention purged versions still inside the window")
+	}
+	// A query pinned to v0 that builds after v0 left the window must not
+	// re-insert v0 keys: no later commit would purge them.
+	for _, strat := range []string{"BVP+COM", "SJ+COM"} {
+		choice, err := core.ChoosePlan(core.PlanRequest{Dataset: ds, MeasureStats: true,
+			FlatOutput: true, Strategies: restrictOf(t, strat)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := core.Execute(ds, choice, core.ExecuteOptions{FlatOutput: true,
+			Artifacts: svc.artifactsFor(v0fp, 0, svc.entry("ds"), nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheMisses == 0 {
+			t.Fatalf("%s on retired v0 hit the cache", strat)
+		}
+		if n := keysWith(v0fp); n != 0 {
+			t.Fatalf("%s on retired v0 re-inserted %d v0 keys", strat, n)
+		}
 	}
 	warm, err := svc.Query(ctx, req)
 	if err != nil {

@@ -230,6 +230,10 @@ type datasetEntry struct {
 	// in one sweep. Guarded by shardMu (shardSetFor appends shard
 	// fingerprints as partitions materialize).
 	versions []versionRecord
+	// retired is the oldest version still in the retention window:
+	// artifacts of older versions are purged, and a query still running
+	// on one must not insert them again (artifactCache.put).
+	retired atomic.Uint64
 
 	statsCache *workload.EdgeStatsCache
 
@@ -753,14 +757,7 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 		execDS, fp, ver, rowMap = sh.DS, set.fps[req.ShardIndex], set.version, sh.RowMap
 	}
 
-	// The SJ strategies build their tables from per-query semi-join-
-	// reduced masks — never shareable — so they bypass the cache
-	// (exec ignores a provider for them anyway; not wiring one keeps
-	// their CacheHits/CacheMisses at zero rather than misleading).
-	var arts exec.Artifacts
-	if choice.Strategy != cost.SJSTD && choice.Strategy != cost.SJCOM {
-		arts = s.artifactsFor(fp, ver, e, sels)
-	}
+	arts := s.artifactsFor(fp, ver, e, sels)
 
 	// Eligible queries go through the shared-scan board: co-arrived
 	// compatible queries attach to one driver pass (sharedscan.go). A
@@ -919,6 +916,8 @@ func (s *Service) artifactsFor(fp, ver uint64, e *datasetEntry, sels []exec.Sele
 		cache:   s.cache,
 		dataset: fp,
 		version: ver,
+		retired: &e.retired,
+		tree:    e.ds.Tree,
 		keyCols: e.keyCols,
 		maskFPs: maskFPs,
 	}

@@ -28,14 +28,15 @@ func genDataset(t *testing.T, rows int, seed int64) *storage.Dataset {
 
 // artifactCount returns the number of phase-1 artifacts the cache
 // serves for a strategy: one table per non-root relation, plus one
-// filter each for the BVP variants; zero for the SJ variants (their
-// reduced tables are query-local).
+// filter each for the BVP variants; for the SJ variants one entry per
+// relation — a table per leaf, a reduced table per interior relation
+// and the reduced driver mask.
 func artifactCount(strategy string, nrel int) int64 {
 	switch strategy {
 	case "BVP+STD", "BVP+COM":
 		return 2 * int64(nrel-1)
 	case "SJ+STD", "SJ+COM":
-		return 0
+		return int64(nrel)
 	}
 	return int64(nrel - 1)
 }
@@ -238,42 +239,81 @@ func TestCacheLRUNeverExceedsBudget(t *testing.T) {
 	}
 }
 
-// TestSelectionKeysSeparateArtifacts: a selection on a build relation
-// must not hit artifacts built without it (wrong results otherwise),
-// while repeating the same selection must hit.
+// TestSelectionKeysSeparateArtifacts: a selection on an interior build
+// relation must not hit artifacts built without it (wrong results
+// otherwise), while repeating the same selection must hit. COM
+// rebuilds only that relation's table. SJ+COM rebuilds exactly the
+// reductions whose subtree holds the selection — the relation's own
+// and the driver's — and hits the leaf tables and sibling subtrees'
+// reductions; its answer must match the oracle and a cache-less run.
 func TestSelectionKeysSeparateArtifacts(t *testing.T) {
 	ds := genDataset(t, 1500, 5)
-	svc := New(Config{Parallelism: 1, MaxConcurrent: 1})
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	nrel := ds.Tree.Len()
 	child := ds.Tree.NonRoot()[0]
+	if ds.Tree.IsLeaf(child) {
+		t.Fatal("first non-root relation is a leaf; the SJ case needs an interior one")
+	}
 	sel := []SelectionSpec{{Relation: ds.Tree.Name(child), Column: "id", Value: 3}}
-
-	base, err := svc.Query(ctx, Request{Dataset: "ds", Strategy: "COM", FlatOutput: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	selected, err := svc.Query(ctx, Request{Dataset: "ds", Strategy: "COM", FlatOutput: true, Selections: sel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if selected.Stats.CacheHits == artifactCount("COM", ds.Tree.Len()) {
-		t.Fatal("selected query fully hit artifacts built without the selection")
-	}
-	if selected.Stats.Checksum == base.Stats.Checksum {
-		t.Fatal("selection did not change the result; test is vacuous")
-	}
-	again, err := svc.Query(ctx, Request{Dataset: "ds", Strategy: "COM", FlatOutput: true, Selections: sel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Stats.CacheMisses != 0 {
-		t.Fatalf("repeated selection rebuilt %d artifacts", again.Stats.CacheMisses)
-	}
-	if again.Stats.Checksum != selected.Stats.Checksum {
-		t.Fatalf("warm selected checksum %#x != cold %#x", again.Stats.Checksum, selected.Stats.Checksum)
+	execSel := []exec.Selection{{Rel: child, Column: "id", Value: 3}}
+	wantCount, wantSum := exec.ReferenceOpts(ds, nil, execSel)
+	for _, tc := range []struct {
+		strategy string
+		misses   int64
+	}{
+		{"COM", 1},
+		{"SJ+COM", 2},
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			svc := New(Config{Parallelism: 1, MaxConcurrent: 1})
+			if _, err := svc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			req := Request{Dataset: "ds", Strategy: tc.strategy, FlatOutput: true}
+			base, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Selections = sel
+			selected, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := artifactCount(tc.strategy, nrel)
+			if selected.Stats.CacheHits != all-tc.misses || selected.Stats.CacheMisses != tc.misses {
+				t.Fatalf("selected query: hits=%d misses=%d, want %d/%d",
+					selected.Stats.CacheHits, selected.Stats.CacheMisses, all-tc.misses, tc.misses)
+			}
+			if selected.Stats.Checksum == base.Stats.Checksum {
+				t.Fatal("selection did not change the result; test is vacuous")
+			}
+			if selected.Stats.OutputTuples != wantCount || selected.Stats.Checksum != wantSum {
+				t.Fatalf("selected answer diverged from oracle: count %d/%d checksum %x/%x",
+					selected.Stats.OutputTuples, wantCount, selected.Stats.Checksum, wantSum)
+			}
+			choice, err := core.ChoosePlan(core.PlanRequest{Dataset: ds, MeasureStats: true,
+				FlatOutput: true, Strategies: restrictOf(t, tc.strategy)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := core.Execute(ds, choice, core.ExecuteOptions{FlatOutput: true, Parallelism: 1, Selections: execSel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(direct, stripCache(selected.Stats)) {
+				t.Fatalf("selected stats differ from cache-less execution:\ndirect  %+v\nservice %+v", direct, selected.Stats)
+			}
+			again, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Stats.CacheMisses != 0 {
+				t.Fatalf("repeated selection rebuilt %d artifacts", again.Stats.CacheMisses)
+			}
+			if !reflect.DeepEqual(stripCache(again.Stats), stripCache(selected.Stats)) {
+				t.Fatalf("warm selected stats differ from cold:\ncold %+v\nwarm %+v", selected.Stats, again.Stats)
+			}
+		})
 	}
 }
 

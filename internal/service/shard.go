@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"m2mjoin/internal/core"
-	"m2mjoin/internal/cost"
 	"m2mjoin/internal/exec"
 	"m2mjoin/internal/faultinject"
 	"m2mjoin/internal/plan"
@@ -264,16 +263,12 @@ func (localTarget) run(ctx context.Context, s *Service, c shardCall) (exec.Stats
 		return exec.Stats{}, &QueryError{Class: ClassInternal, Err: err}
 	}
 	sh := c.set.shards[c.k]
-	var arts exec.Artifacts
-	if c.choice.Strategy != cost.SJSTD && c.choice.Strategy != cost.SJCOM {
-		arts = s.artifactsFor(c.set.fps[c.k], c.set.version, c.e, c.sels)
-	}
 	st, err := core.Execute(sh.DS, c.choice, core.ExecuteOptions{
 		FlatOutput:   c.req.FlatOutput,
 		ChunkSize:    c.req.ChunkSize,
 		Parallelism:  c.workers,
 		Ctx:          ctx,
-		Artifacts:    arts,
+		Artifacts:    s.artifactsFor(c.set.fps[c.k], c.set.version, c.e, c.sels),
 		Selections:   c.sels,
 		DriverRowMap: sh.RowMap,
 		Version:      c.set.version,

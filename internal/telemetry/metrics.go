@@ -258,7 +258,11 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	return f
 }
 
-func (f *family) get(labels Labels) *series {
+// get returns the series for labels, registering it on first use, and
+// runs init on it under the family lock: every write of a series'
+// value fields happens there, so concurrent first fetches of one
+// series agree on its instrument and scrapes read it race-free.
+func (f *family) get(labels Labels, init func(*series)) *series {
 	key := labels.key()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -268,35 +272,36 @@ func (f *family) get(labels Labels) *series {
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
+	init(s)
 	return s
 }
 
 // Counter returns (registering if needed) the counter series for the
 // given name and labels.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.family(name, help, kindCounter).get(labels)
-	if s.c == nil && s.fn == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.family(name, help, kindCounter).get(labels, func(s *series) {
+		if s.c == nil && s.fn == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns (registering if needed) the gauge series.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.family(name, help, kindGauge).get(labels)
-	if s.g == nil && s.fn == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.family(name, help, kindGauge).get(labels, func(s *series) {
+		if s.g == nil && s.fn == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // Histogram returns (registering if needed) the histogram series.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	s := r.family(name, help, kindHistogram).get(labels)
-	if s.h == nil {
-		s.h = &Histogram{}
-	}
-	return s.h
+	return r.family(name, help, kindHistogram).get(labels, func(s *series) {
+		if s.h == nil {
+			s.h = &Histogram{}
+		}
+	}).h
 }
 
 // CounterFunc registers a counter series whose value is read from fn
@@ -304,18 +309,20 @@ func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
 // stays the source of truth and the exposition can never drift from
 // it. Re-registering the same series keeps the first function.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
-	s := r.family(name, help, kindCounter).get(labels)
-	if s.fn == nil && s.c == nil {
-		s.fn = fn
-	}
+	r.family(name, help, kindCounter).get(labels, func(s *series) {
+		if s.fn == nil && s.c == nil {
+			s.fn = fn
+		}
+	})
 }
 
 // GaugeFunc registers a gauge series read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() int64) {
-	s := r.family(name, help, kindGauge).get(labels)
-	if s.fn == nil && s.g == nil {
-		s.fn = fn
-	}
+	r.family(name, help, kindGauge).get(labels, func(s *series) {
+		if s.fn == nil && s.g == nil {
+			s.fn = fn
+		}
+	})
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition

@@ -256,6 +256,55 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentFirstFetch: many goroutines fetching one new
+// series of each kind at once, racing a scrape, must all get the same
+// instrument and count every increment. Run under -race, this pins
+// that a series' value is created under its family lock.
+func TestRegistryConcurrentFirstFetch(t *testing.T) {
+	r := NewRegistry()
+	const workers = 16
+	labels := Labels{{Name: "shard", Value: "0"}}
+	counters := make([]*Counter, workers)
+	gauges := make([]*Gauge, workers)
+	hists := make([]*Histogram, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			counters[i] = r.Counter("m2m_race_total", "", labels)
+			counters[i].Add(1)
+			gauges[i] = r.Gauge("m2m_race_gauge", "", labels)
+			hists[i] = r.Histogram("m2m_race_seconds", "", labels)
+			hists[i].Observe(time.Millisecond)
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Error(err)
+		}
+	}()
+	close(start)
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if counters[i] != counters[0] || gauges[i] != gauges[0] || hists[i] != hists[0] {
+			t.Fatalf("worker %d got a different instrument for the same series", i)
+		}
+	}
+	if got := counters[0].Value(); got != workers {
+		t.Errorf("counter = %d, want %d", got, workers)
+	}
+	if got := hists[0].n.Load(); got != workers {
+		t.Errorf("histogram count = %d, want %d", got, workers)
+	}
+}
+
 func TestBuildHookDisarmedAndArmed(t *testing.T) {
 	SetBuildHook(nil)
 	if BuildHook() != nil {
