@@ -232,92 +232,3 @@ func BenchmarkExpansion(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkProbeInterleaved compares the sequential probe drain
-// (NoInterleave) against the default wavefront-interleaved chain per
-// strategy on the Snowflake32 shape: same probe set, same Stats, but
-// the interleaved path overlaps directory misses across relations and
-// fuses the BVP filter pass into the table probe's stage 1.
-func BenchmarkProbeInterleaved(b *testing.B) {
-	rng := rand.New(rand.NewSource(123))
-	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.5, 0.8, 1, 3))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 30000, Seed: 99})
-	model := cost.New(workload.MeasuredTree(ds), cost.DefaultWeights())
-	order := opt.Optimize(model, cost.COM, opt.GreedySurvival).Order
-	for _, s := range cost.AllStrategies {
-		for _, mode := range []struct {
-			name         string
-			noInterleave bool
-		}{{"sequential", true}, {"interleaved", false}} {
-			b.Run(fmt.Sprintf("Snowflake32/%s/%s", s, mode.name), func(b *testing.B) {
-				b.ReportAllocs()
-				var checksum uint64
-				for i := 0; i < b.N; i++ {
-					stats, err := exec.Run(ds, exec.Options{
-						Strategy: s, Order: order, FlatOutput: true,
-						NoInterleave: mode.noInterleave,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if checksum == 0 {
-						checksum = stats.Checksum
-					} else if stats.Checksum != checksum {
-						b.Fatalf("checksum changed across modes")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSharedScan sweeps the batch size of the shared-scan
-// executor: batch N runs N identical STD queries as one driver pass
-// (exec.RunBatch); the solo1 baseline is one exec.Run. Per-op cost at
-// batch N should grow by much less than N× — the driver scan, chunk
-// bookkeeping and gather work are shared — and the inline check pins
-// every member's checksum to the solo result.
-func BenchmarkSharedScan(b *testing.B) {
-	rng := rand.New(rand.NewSource(123))
-	tr := plan.Snowflake(3, 2, plan.UniformStats(rng, 0.5, 0.8, 1, 3))
-	ds := workload.Generate(tr, workload.Config{DriverRows: 30000, Seed: 99})
-	model := cost.New(workload.MeasuredTree(ds), cost.DefaultWeights())
-	order := opt.Optimize(model, cost.COM, opt.GreedySurvival).Order
-	opts := exec.Options{Strategy: cost.STD, Order: order, FlatOutput: true}
-	solo, err := exec.Run(ds, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Snowflake32/STD/solo1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			stats, err := exec.Run(ds, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Checksum != solo.Checksum {
-				b.Fatal("checksum drifted")
-			}
-		}
-	})
-	for _, n := range []int{2, 4, 8} {
-		optsList := make([]exec.Options, n)
-		for i := range optsList {
-			optsList[i] = opts
-		}
-		b.Run(fmt.Sprintf("Snowflake32/STD/batch%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				stats, errs := exec.RunBatch(ds, optsList)
-				for m := range optsList {
-					if errs[m] != nil {
-						b.Fatal(errs[m])
-					}
-					if stats[m].Checksum != solo.Checksum {
-						b.Fatal("member checksum diverged from solo")
-					}
-				}
-			}
-		})
-	}
-}

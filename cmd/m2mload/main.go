@@ -72,10 +72,6 @@ func main() {
 		"accept degraded results at or above this shard coverage (0 = require full)")
 	mutateQPS := flag.Float64("mutate-qps", 0,
 		"background write rate; measures cache hit rate under version churn (0 = reads only)")
-	sharedScan := flag.Bool("shared-scan", false,
-		"enable shared-scan batching (in-process mode; against -addr the server's own flag decides)")
-	attachWindow := flag.Duration("attach-window", 0,
-		"shared-scan attach window (0 = service default)")
 	flag.Parse()
 
 	var (
@@ -89,10 +85,6 @@ func main() {
 		svc := service.New(service.Config{
 			CacheBytes:  *cacheBytes,
 			Parallelism: *parallelism,
-			SharedScan: service.SharedScanConfig{
-				Enabled:      *sharedScan,
-				AttachWindow: *attachWindow,
-			},
 		})
 		templates, err = service.StandardMix(svc, *rows, *seed)
 		runner = svc
@@ -156,10 +148,6 @@ func main() {
 	if st, err := statsFn(); err == nil {
 		fmt.Printf("service: queries=%d cache entries=%d bytes=%d/%d evictions=%d\n",
 			st.Queries, st.Cache.Entries, st.Cache.Bytes, st.Cache.Limit, st.Cache.Evictions)
-		if st.SharedScans > 0 {
-			fmt.Printf("service shared scans: passes=%d members=%d (%d driver scans saved)\n",
-				st.SharedScans, st.SharedScanMembers, st.SharedScanMembers-st.SharedScans)
-		}
 	}
 	// Timeouts and sheds are the resilience layer doing its job under
 	// overload; only engine faults (internal) and broken mixes (invalid)

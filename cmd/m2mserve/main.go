@@ -60,7 +60,6 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -103,10 +102,6 @@ func main() {
 		"per-shard attempt deadline (0 = default 2s, negative disables)")
 	hedgeDelay := flag.Duration("hedge-delay", 0,
 		"duplicate a straggling shard attempt on the next replica after this delay (0 = off)")
-	sharedScan := flag.Bool("shared-scan", false,
-		"batch co-arrived compatible queries onto one shared driver scan")
-	attachWindow := flag.Duration("attach-window", 0,
-		"shared-scan attach window (0 = default 1ms)")
 	slowQueryMillis := flag.Int64("slow-query-millis", 0,
 		"log a structured slow-query line for queries at or over this end-to-end latency (0 = off)")
 	traceRing := flag.Int("trace-ring", 0,
@@ -143,19 +138,11 @@ func main() {
 			AttemptTimeout: *shardTimeout,
 			HedgeDelay:     *hedgeDelay,
 		},
-		SharedScan: service.SharedScanConfig{
-			Enabled:      *sharedScan,
-			AttachWindow: *attachWindow,
-		},
 		SlowQueryMillis: *slowQueryMillis,
 		TraceRing:       *traceRing,
 	})
 	if *slowQueryMillis > 0 {
 		log.Printf("m2mserve: slow-query log on (threshold %dms)", *slowQueryMillis)
-	}
-	if *sharedScan {
-		log.Printf("m2mserve: shared-scan batching on (window %v)",
-			cmp.Or(*attachWindow, service.DefaultAttachWindow))
 	}
 	if *shards > 1 || len(backendList) > 0 {
 		log.Printf("m2mserve: sharded tier: %d shards, %d backends %v",

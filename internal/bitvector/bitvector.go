@@ -235,18 +235,6 @@ func (f *Filter) ProbeContains(keys []int64, sel []bool, out []bool) int {
 	return probed
 }
 
-// Words exposes the raw bit array and WordShift the word-directory
-// shift — the filter's whole probe geometry, for callers that fuse the
-// filter test into another key-hashing pass (the executor's fused
-// filter+table probe pipelines): a key hits iff
-// Words()[h>>WordShift()] & hashtable.Tag(h, WordShift(), 6) != 0
-// for h = hashtable.Hash64(key). The returned slice is the filter's
-// own storage; callers must not modify it.
-func (f *Filter) Words() []uint64 { return f.bits }
-
-// WordShift returns the shift addressing the filter's word directory.
-func (f *Filter) WordShift() uint { return f.shift }
-
 // MemoryBytes returns the heap footprint of the filter's bit array —
 // the quantity the serving layer's artifact cache charges against its
 // byte budget. The array is allocated at exactly this size.

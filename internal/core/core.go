@@ -161,26 +161,9 @@ type ExecuteOptions struct {
 	TraceParent telemetry.SpanID
 }
 
-// ExecuteBatch runs several chosen plans against the same dataset
-// snapshot as one shared driver scan (exec.RunBatch): one Stats and
-// one error slot per member, each bit-identical to its solo Execute.
-// Members rejected with exec.ErrBatchIncompatible should be re-run
-// solo by the caller.
-func ExecuteBatch(ds *storage.Dataset, choices []PlanChoice, opts []ExecuteOptions) ([]exec.Stats, []error) {
-	optsList := make([]exec.Options, len(choices))
-	for i, choice := range choices {
-		optsList[i] = execOptions(choice, opts[i])
-	}
-	return exec.RunBatch(ds, optsList)
-}
-
 // Execute runs the chosen plan against the dataset.
 func Execute(ds *storage.Dataset, choice PlanChoice, opts ExecuteOptions) (exec.Stats, error) {
-	return exec.Run(ds, execOptions(choice, opts))
-}
-
-func execOptions(choice PlanChoice, opts ExecuteOptions) exec.Options {
-	return exec.Options{
+	return exec.Run(ds, exec.Options{
 		Strategy:      choice.Strategy,
 		Order:         choice.Order,
 		SemiJoins:     choice.SemiJoins,
@@ -195,7 +178,7 @@ func execOptions(choice PlanChoice, opts ExecuteOptions) exec.Options {
 		Version:       opts.Version,
 		Trace:         opts.Trace,
 		TraceParent:   opts.TraceParent,
-	}
+	})
 }
 
 // Query is the one-call convenience: measure statistics, choose the

@@ -23,28 +23,10 @@ func (w *worker) runCOMChunk(driverRows []int32) {
 	useBVP := r.filters != nil
 	chunk := w.chunk
 	chunk.Reset(driverRows)
-	rest := r.opts.Order
-	if !r.opts.NoInterleave && len(rest) > 0 && r.ds.Tree.Parent(rest[0]) == plan.Root {
-		// Interleaved pre-pass: the root's child filters and the first
-		// join share one probe chain (interleave.go) — the only COM
-		// step where kills cannot cascade, so the filter pass can run
-		// behind a chained mask. The remaining joins keep the scalar
-		// filter loop whose propagated kills the cost model charges
-		// for. (A valid order always joins a root child first, so the
-		// parent check is defensive.)
-		first := rest[0]
-		rest = rest[1:]
-		w.comRootChain(first)
-		if useBVP {
-			w.applyFiltersCOM(chunk, first)
-		}
-		if chunk.Driver().LiveCount == 0 {
-			rest = nil
-		}
-	} else if useBVP {
+	if useBVP {
 		w.applyFiltersCOM(chunk, plan.Root)
 	}
-	for _, next := range rest {
+	for _, next := range r.opts.Order {
 		w.joinCOM(chunk, next)
 		if useBVP {
 			w.applyFiltersCOM(chunk, next)

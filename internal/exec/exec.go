@@ -83,16 +83,6 @@ type Options struct {
 	// breadth-first variant (Section 4.3's alternative); identical
 	// output, different memory/locality trade-off.
 	BreadthFirstExpand bool
-	// NoInterleave is an ablation switch: phase-2 probe chains run
-	// their links sequentially — each relation's batch probe (and each
-	// bitvector filter pass) drains completely before the next
-	// relation's starts — instead of the default round-robin interleaved
-	// wavefront that overlaps directory misses across relations, and
-	// the phase-1 semi-join pass reduces siblings one at a time instead
-	// of word-skewed. Stats and checksums are bit-identical either way
-	// (pinned by the interleave differential tests); the switch exists
-	// to measure what the overlap buys.
-	NoInterleave bool
 	// NoKillPropagation is an ablation switch: liveness kills stop
 	// propagating through the factor chunk, so COM variants keep
 	// probing on behalf of rows whose other branches already died.
@@ -352,8 +342,7 @@ func Run(ds *storage.Dataset, opts Options) (Stats, error) {
 
 // prepare validates opts against the dataset, normalizes defaults and
 // constructs the run state — everything Run does before the build
-// phase. Shared with RunBatch (batch.go), which prepares every member
-// of a shared scan through the same path.
+// phase.
 func prepare(ds *storage.Dataset, opts Options) (*run, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("exec: invalid dataset: %w", err)
@@ -933,11 +922,6 @@ type worker struct {
 	// STD scratch: two column sets (join-order layout) that ping-pong
 	// between input and output of each join.
 	colsA, colsB [][]int32
-
-	// links is the interleaved probe-chain arena (interleave.go):
-	// per-link key gathers, selection masks and the staged pipeline,
-	// reused across chunks.
-	links []chainLink
 
 	// COM scratch: the reusable factor chunk, plus the expansion
 	// callbacks (built once so per-chunk expansion allocates no

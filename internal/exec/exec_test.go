@@ -51,6 +51,43 @@ func TestAllStrategiesMatchReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Skewed input: Zipf fanouts give some keys long match runs and
+	// dangling keys give the probes an empty tail, so run verification
+	// and expansion both see non-uniform match lists; factorized output
+	// exercises the COM counting path over the same runs.
+	t.Run("skewed", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(92))
+		tr := plan.Star(4, plan.UniformStats(rng, 0.4, 0.95, 1, 5))
+		fanouts := make(map[plan.NodeID]workload.FanoutDist)
+		for _, id := range tr.NonRoot() {
+			fanouts[id] = workload.NewZipf(1.1, 40)
+		}
+		ds := workload.Generate(tr, workload.Config{
+			DriverRows: 4000, Seed: 23,
+			Fanouts:          fanouts,
+			DanglingFraction: 0.3,
+		})
+		wantCount, wantSum := Reference(ds)
+		if wantCount == 0 {
+			t.Fatal("degenerate input, no output")
+		}
+		order := plan.Order(tr.NonRoot())
+		for _, s := range cost.AllStrategies {
+			for _, flat := range []bool{true, false} {
+				stats, err := Run(ds, Options{Strategy: s, Order: order, FlatOutput: flat, ChunkSize: 512})
+				if err != nil {
+					t.Fatalf("%v flat=%v: %v", s, flat, err)
+				}
+				if stats.OutputTuples != wantCount {
+					t.Fatalf("%v flat=%v: count %d, want %d", s, flat, stats.OutputTuples, wantCount)
+				}
+				if flat && stats.Checksum != wantSum {
+					t.Fatalf("%v flat=%v: checksum mismatch", s, flat)
+				}
+			}
+		}
+	})
 }
 
 // TestAllOrdersSameOutput: the output must be identical for every

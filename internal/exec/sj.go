@@ -113,22 +113,12 @@ func (r *run) reduce(p plan.NodeID, children []plan.NodeID, scratch *storage.Bit
 			scratch.Reset(rel.NumRows())
 		}
 		mask = scratch
-		if len(children) > 1 && !r.opts.NoInterleave &&
-			(r.opts.Parallelism <= 1 || mask.Len() < minParallelReduceRows) {
-			// Sibling reductions of one parent interleave as a
-			// word-skewed wavefront (semiJoinReduceMulti) whenever each
-			// would otherwise run sequentially on this goroutine; the
-			// chunked parallel reduction keeps the one-child-at-a-time
-			// sweep.
-			st = r.semiJoinReduceMulti(children, rel, mask)
-		} else {
-			for _, c := range children {
-				if r.cancelled() {
-					return nil
-				}
-				keyCol := rel.Column(r.ds.KeyColumn(c))
-				st.Add(r.semiJoinReduce(r.tables[c], keyCol, mask))
+		for _, c := range children {
+			if r.cancelled() {
+				return nil
 			}
+			keyCol := rel.Column(r.ds.KeyColumn(c))
+			st.Add(r.semiJoinReduce(r.tables[c], keyCol, mask))
 		}
 	}
 	if r.cancelled() {
@@ -208,60 +198,6 @@ func (r *run) semiJoinReduce(table *hashtable.Table, keyCol storage.Column, mask
 		TagHits:   int(tagHits.Load()),
 		TagMisses: int(tagMisses.Load()),
 	}
-}
-
-// semiJoinReduceMulti reduces one parent's mask against all of its
-// children's tables as a word-skewed wavefront: at step s, child j
-// reduces mask word s-j (hashtable.ReduceLiveWords), so child j only
-// ever probes the bits children 0..j-1 left set in that word — the
-// exact bits the sequential child-after-child sweep would probe —
-// while up to len(children) different tables have directory loads in
-// flight at once. Each child fires the reduce-chunk failpoint once
-// before its first word, matching the sequential path's fire sequence;
-// a failure or cancellation abandons the wavefront exactly as it
-// abandons the sequential sweep (the run discards the partial mask).
-func (r *run) semiJoinReduceMulti(children []plan.NodeID, rel *storage.Relation, mask *storage.Bitmap) hashtable.ProbeStats {
-	m := len(children)
-	keyCols := make([]storage.Column, m)
-	for j, c := range children {
-		keyCols[j] = rel.Column(r.ds.KeyColumn(c))
-	}
-	var st hashtable.ProbeStats
-	nWords := (mask.Len() + 63) / 64
-	for step := 0; step < nWords+m-1; step++ {
-		if r.cancelled() {
-			return hashtable.ProbeStats{}
-		}
-		jlo := 0
-		if step >= nWords {
-			jlo = step - nWords + 1
-		}
-		jhi := step
-		if jhi > m-1 {
-			jhi = m - 1
-		}
-		for j := jlo; j <= jhi; j++ {
-			wi := step - j
-			if wi == 0 {
-				if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-					r.fail(err)
-					return hashtable.ProbeStats{}
-				}
-			}
-			st.Add(r.tables[children[j]].ReduceLiveWords(keyCols[j], mask, wi, wi+1))
-		}
-	}
-	if nWords == 0 {
-		// Degenerate empty mask: the wavefront body never ran, but the
-		// sequential sweep still fires once per child.
-		for range children {
-			if err := faultinject.Fire(faultinject.SiteReduceChunk); err != nil {
-				r.fail(err)
-				return hashtable.ProbeStats{}
-			}
-		}
-	}
-	return st
 }
 
 // addSemiJoinStats folds one reduction's probe stats into the run

@@ -17,17 +17,11 @@ import (
 // and writes the other, so steady-state execution reuses the same
 // backing arrays for every chunk.
 
-// runSTDChunk executes the standard pipeline for one driver chunk.
-// The default path drives each join step's filters and table probe as
-// one interleaved chain (interleave.go); NoInterleave selects the
-// original drain-one-relation-at-a-time loop below, bit-identical by
-// the chain's construction.
+// runSTDChunk executes the standard pipeline for one driver chunk:
+// each join step's bitvector filters and table probe drain completely
+// before the next relation's start.
 func (w *worker) runSTDChunk(driverRows []int32) {
 	r := w.r
-	if !r.opts.NoInterleave {
-		w.runSTDChunkInterleaved(driverRows)
-		return
-	}
 	useBVP := r.filters != nil
 	cur, spare := w.colsA, w.colsB
 	cur[0] = append(cur[0][:0], driverRows...)

@@ -87,27 +87,23 @@ func TestProbeContainsMatchesContains(t *testing.T) {
 	}
 }
 
-// TestProbeCountsMatchesCountMatches: batch counts must agree with the
-// per-key CountMatches.
-func TestProbeCountsMatchesCountMatches(t *testing.T) {
-	table, keys, sel := randomProbe(3, 2048)
-	counts := make([]int32, len(keys))
-	st := table.ProbeCounts(keys, sel, counts)
-	wantProbed := 0
-	for i, key := range keys {
-		want := int32(0)
-		if sel[i] {
-			wantProbed++
-			want = table.CountMatches(key)
-		}
-		if counts[i] != want {
-			t.Fatalf("lane %d: count %d, want %d", i, counts[i], want)
-		}
-	}
-	if st.Probed != wantProbed {
-		t.Errorf("probed = %d, want %d", st.Probed, wantProbed)
-	}
-	if st.TagHits+st.TagMisses != wantProbed {
-		t.Errorf("tag split %d+%d != probed %d", st.TagHits, st.TagMisses, wantProbed)
+// TestProbeResultAlternatingSizesAllocationFree pins the scratch
+// headroom policy: once a ProbeResult has served its largest batch,
+// alternating between large and small probes (the executor's short
+// final chunk) must not reallocate — Counts/Offsets grow with 25%
+// headroom and Rows keeps its capacity through the length-0 reslice.
+func TestProbeResultAlternatingSizesAllocationFree(t *testing.T) {
+	table, keys, sel := randomProbe(51, 8192)
+	var res ProbeResult
+	table.ProbeBatchInto(keys, nil, &res) // reach steady state at the large size
+	small := keys[:64]
+	allocs := testing.AllocsPerRun(50, func() {
+		table.ProbeBatchInto(keys, sel, &res)
+		table.ProbeBatchInto(small, nil, &res)
+		table.ProbeBatchInto(keys, nil, &res)
+		table.ProbeBatchInto(small, sel[:64], &res)
+	})
+	if allocs > 0 {
+		t.Errorf("alternating large/small probes allocate %.1f times per cycle", allocs)
 	}
 }

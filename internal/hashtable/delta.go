@@ -362,20 +362,31 @@ func (t *Table) countDelta(key int64) (n int32, tagHit bool) {
 // probeBatchDeltaInto is ProbeBatchInto's scalar path for tables with
 // delta state.
 func (t *Table) probeBatchDeltaInto(keys []int64, sel []bool, res *ProbeResult) {
-	n := len(keys)
-	res.grow(n)
-	res.Offsets[0] = 0
-	out, probed, _, tagHits := t.probeDeltaBlock(keys, sel, nil, 0, nil,
-		res.Rows[:0], res.Counts, res.Offsets, 0, n)
+	res.grow(len(keys))
+	counts, offsets := res.Counts, res.Offsets
+	offsets[0] = 0
+	out := res.Rows[:0]
+	probed, tagHits := 0, 0
+	for i, key := range keys {
+		before := int32(len(out))
+		if sel == nil || sel[i] {
+			probed++
+			var hit bool
+			if out, hit = t.appendDelta(out, key); hit {
+				tagHits++
+			}
+		}
+		counts[i] = int32(len(out)) - before
+		offsets[i+1] = int32(len(out))
+	}
 	res.Rows = out
 	res.Probed = probed
 	res.TagHits = tagHits
 	res.TagMisses = probed - tagHits
 }
 
-// probeContainsDelta / probeCountsDelta / reduceLiveDelta are the
-// delta-state fallbacks of the pipelined probes; same contracts,
-// scalar loops.
+// probeContainsDelta / reduceLiveDelta are the delta-state fallbacks
+// of the pipelined probes; same contracts, scalar loops.
 func (t *Table) probeContainsDelta(keys []int64, sel []bool, out []bool) ProbeStats {
 	var st ProbeStats
 	for i, key := range keys {
@@ -391,25 +402,6 @@ func (t *Table) probeContainsDelta(keys []int64, sel []bool, out []bool) ProbeSt
 			st.TagMisses++
 		}
 		out[i] = found
-	}
-	return st
-}
-
-func (t *Table) probeCountsDelta(keys []int64, sel []bool, counts []int32) ProbeStats {
-	var st ProbeStats
-	for i, key := range keys {
-		if sel != nil && !sel[i] {
-			counts[i] = 0
-			continue
-		}
-		st.Probed++
-		n, hit := t.countDelta(key)
-		if hit {
-			st.TagHits++
-		} else {
-			st.TagMisses++
-		}
-		counts[i] = n
 	}
 	return st
 }

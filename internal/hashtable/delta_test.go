@@ -152,6 +152,30 @@ func TestDeltaProbesMatchOracle(t *testing.T) {
 			t.Fatalf("key %d: count = %d, want %d", k, n, len(want))
 		}
 	}
+
+	// A selection mask skips lanes: unselected keys report no matches
+	// and are not counted as probes; selected ones keep their lists.
+	sel := make([]bool, len(probes))
+	selected := 0
+	for i := range sel {
+		sel[i] = rng.Intn(3) > 0
+		if sel[i] {
+			selected++
+		}
+	}
+	tbl.ProbeBatchInto(probes, sel, &res)
+	if res.Probed != selected || res.TagHits+res.TagMisses != selected {
+		t.Fatalf("masked probe: probed %d (tags %d+%d), want %d", res.Probed, res.TagHits, res.TagMisses, selected)
+	}
+	for i, k := range probes {
+		want := int32(0)
+		if sel[i] {
+			want = int32(len(oracle[k]))
+		}
+		if res.Counts[i] != want || res.Offsets[i+1]-res.Offsets[i] != want {
+			t.Fatalf("masked key %d: count %d, want %d", k, res.Counts[i], want)
+		}
+	}
 }
 
 // BenchmarkIncrementalRepair compares repairing a cached table through

@@ -742,56 +742,3 @@ func (t *Table) ReduceLive(keyCol storage.Column, live *storage.Bitmap, loRow, h
 	}
 	return st
 }
-
-// ProbeCounts is the batch match-count probe: counts[i] receives the
-// number of build rows matching keys[i] for selected lanes, 0
-// otherwise. Pipelined like ProbeContains, with stack scratch.
-func (t *Table) ProbeCounts(keys []int64, sel []bool, counts []int32) ProbeStats {
-	if t.hasDelta() {
-		return t.probeCountsDelta(keys, sel, counts)
-	}
-	var st ProbeStats
-	var runs [probeBlock]uint64
-	for lo := 0; lo < len(keys); lo += probeBlock {
-		hi := min(lo+probeBlock, len(keys))
-		for i := lo; i < hi; i++ {
-			if sel != nil && !sel[i] {
-				runs[i-lo] = 0
-				continue
-			}
-			st.Probed++
-			key := keys[i]
-			h := Hash64(key)
-			b := h >> t.shift
-			w := t.dir[b]
-			if w&t.tag(h) == 0 {
-				st.TagMisses++
-				runs[i-lo] = 0
-				continue
-			}
-			st.TagHits++
-			start := w >> offShift
-			r := start<<33 | (t.dir[b+1]>>offShift)<<1
-			if t.keys[start] == key {
-				r |= 1
-			}
-			runs[i-lo] = r
-		}
-		for i := lo; i < hi; i++ {
-			run := runs[i-lo]
-			if run == 0 {
-				counts[i] = 0
-				continue
-			}
-			key := keys[i]
-			n := int32(run & 1)
-			for e, end := run>>33+1, run>>1&(1<<32-1); e < end; e++ {
-				if t.keys[e] == key {
-					n++
-				}
-			}
-			counts[i] = n
-		}
-	}
-	return st
-}

@@ -131,14 +131,13 @@ func TestLargeTableRelaxedLoad(t *testing.T) {
 
 // TestTagProbePathsAllocationFree: the tag-filtered batch probes —
 // ProbeBatchInto with a reused result, and the stack-scratch
-// ProbeContains / ProbeCounts / ReduceLive — must not allocate in
+// ProbeContains / ReduceLive — must not allocate in
 // steady state.
 func TestTagProbePathsAllocationFree(t *testing.T) {
 	table, keys, sel := randomProbe(9, 4096)
 	var res ProbeResult
 	table.ProbeBatchInto(keys, sel, &res) // reach steady state
 	out := make([]bool, len(keys))
-	counts := make([]int32, len(keys))
 	rel := buildRelation(keys)
 	keyCol := rel.Column("k")
 	mask := randomMask(rand.New(rand.NewSource(10)), len(keys), 0.7)
@@ -150,7 +149,6 @@ func TestTagProbePathsAllocationFree(t *testing.T) {
 	}{
 		{"ProbeBatchInto", func() { table.ProbeBatchInto(keys, sel, &res) }},
 		{"ProbeContains", func() { table.ProbeContains(keys, sel, out) }},
-		{"ProbeCounts", func() { table.ProbeCounts(keys, sel, counts) }},
 		{"ReduceLive", func() {
 			clone.CopyFrom(mask)
 			table.ReduceLive(keyCol, clone, 0, clone.Len())

@@ -160,16 +160,6 @@ type LoadReport struct {
 	// is nonzero the cache hit rate below was measured under writes.
 	Mutations      int64 `json:"mutations,omitempty"`
 	MutationErrors int64 `json:"mutationErrors,omitempty"`
-	// SharedScanQueries counts successful queries served through a
-	// shared driver scan; SharedScanAttached counts those whose pass had
-	// other members (Result.Batch > 1). AttachRate is Attached over all
-	// successful queries, and the AttachWait percentiles summarize the
-	// queue-to-attach latency (Result.AttachWait) of shared queries.
-	SharedScanQueries  int64         `json:"sharedScanQueries,omitempty"`
-	SharedScanAttached int64         `json:"sharedScanAttached,omitempty"`
-	AttachRate         float64       `json:"attachRate,omitempty"`
-	AttachWaitP50      time.Duration `json:"attachWaitP50Ns,omitempty"`
-	AttachWaitP95      time.Duration `json:"attachWaitP95Ns,omitempty"`
 	// CacheHits/CacheMisses sum the per-query artifact counters across
 	// all issued queries.
 	CacheHits   int64 `json:"cacheHits"`
@@ -260,8 +250,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 		retries              int64
 		degraded             int64
 		hits, misses, tuples int64
-		shared, attached     int64
-		attachWaits          []time.Duration
 	}
 	aggs := make([]clientAgg, cfg.Clients)
 	var wg sync.WaitGroup
@@ -299,13 +287,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 				agg.hits += res.Stats.CacheHits
 				agg.misses += res.Stats.CacheMisses
 				agg.tuples += res.Stats.OutputTuples
-				if res.Batch > 0 {
-					agg.shared++
-					agg.attachWaits = append(agg.attachWaits, res.AttachWait)
-					if res.Batch > 1 {
-						agg.attached++
-					}
-				}
 			}
 		}(ci)
 	}
@@ -317,7 +298,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 	report.Mutations = mutations
 	report.MutationErrors = mutationErrors
 	var all []time.Duration
-	var waits []time.Duration
 	for i := range aggs {
 		all = append(all, aggs[i].latencies...)
 		report.Errors += aggs[i].errors
@@ -327,9 +307,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 		report.CacheHits += aggs[i].hits
 		report.CacheMisses += aggs[i].misses
 		report.OutputTuples += aggs[i].tuples
-		report.SharedScanQueries += aggs[i].shared
-		report.SharedScanAttached += aggs[i].attached
-		waits = append(waits, aggs[i].attachWaits...)
 	}
 	report.Queries = int64(len(all))
 	report.Duration = elapsed
@@ -346,14 +323,6 @@ func RunLoad(ctx context.Context, r Runner, cfg LoadConfig) (LoadReport, error) 
 		report.P95 = pct(0.95)
 		report.P99 = pct(0.99)
 		report.Max = all[len(all)-1]
-	}
-	if report.Queries > 0 {
-		report.AttachRate = float64(report.SharedScanAttached) / float64(report.Queries)
-	}
-	if len(waits) > 0 {
-		sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-		report.AttachWaitP50 = waits[int(0.50*float64(len(waits)-1))]
-		report.AttachWaitP95 = waits[int(0.95*float64(len(waits)-1))]
 	}
 	return report, nil
 }
@@ -485,11 +454,6 @@ func (r LoadReport) String() string {
 		r.P50.Round(time.Microsecond), r.P95.Round(time.Microsecond),
 		r.P99.Round(time.Microsecond), r.Max.Round(time.Microsecond),
 		r.CacheHits, r.CacheMisses, 100*hitRate, r.OutputTuples)
-	if r.SharedScanQueries > 0 {
-		out += fmt.Sprintf("\nshared scans: served=%d attached=%d attach-rate=%.1f%% attach-wait p50=%v p95=%v",
-			r.SharedScanQueries, r.SharedScanAttached, 100*r.AttachRate,
-			r.AttachWaitP50.Round(time.Microsecond), r.AttachWaitP95.Round(time.Microsecond))
-	}
 	if r.Mutations+r.MutationErrors > 0 {
 		out += fmt.Sprintf("\nmutations: committed=%d errors=%d (hit rate above measured under writes)",
 			r.Mutations, r.MutationErrors)

@@ -27,9 +27,6 @@ const (
 	metricQueryErrors    = "m2m_query_errors_total"
 	metricQueryDuration  = "m2m_query_duration_seconds"
 	metricQueueWait      = "m2m_queue_wait_seconds"
-	metricAttachWait     = "m2m_attach_wait_seconds"
-	metricSharedScans    = "m2m_shared_scans_total"
-	metricSharedMembers  = "m2m_shared_scan_members_total"
 	metricMutations      = "m2m_mutations_total"
 	metricRepairs        = "m2m_repairs_total"
 	metricMutationCommit = "m2m_mutation_commit_seconds"
@@ -69,7 +66,6 @@ type serviceMetrics struct {
 	reg *telemetry.Registry
 
 	queueWait      *telemetry.Histogram
-	attachWait     *telemetry.Histogram
 	mutationCommit *telemetry.Histogram
 	buildHist      *telemetry.Histogram // m2m_artifact_build_seconds{kind="build"}
 	repairHist     *telemetry.Histogram // m2m_artifact_build_seconds{kind="repair"}
@@ -108,8 +104,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 		reg.CounterFunc(metricQueryErrors, "Failed queries by class.",
 			telemetry.Labels{{Name: "class", Value: string(ec.cls)}}, ec.fn)
 	}
-	reg.CounterFunc(metricSharedScans, "Executed shared-scan passes.", nil, s.sharedScans.Load)
-	reg.CounterFunc(metricSharedMembers, "Queries served through a shared scan.", nil, s.sharedMembers.Load)
 	reg.CounterFunc(metricMutations, "Committed mutation batches.", nil, s.mutations.Load)
 	reg.CounterFunc(metricRepairs, "Cached artifacts repaired onto a new version in place.", nil, s.repairs.Load)
 	reg.CounterFunc(metricScatterQueries, "Client queries answered by scatter-gather.", nil, s.scatterQueries.Load)
@@ -136,7 +130,6 @@ func newServiceMetrics(s *Service) *serviceMetrics {
 	})
 
 	m.queueWait = reg.Histogram(metricQueueWait, "Admission queue wait per admitted query.", nil)
-	m.attachWait = reg.Histogram(metricAttachWait, "Shared-scan attach wait per member.", nil)
 	m.mutationCommit = reg.Histogram(metricMutationCommit, "Mutation commit latency, including artifact repair.", nil)
 	m.buildHist = reg.Histogram(metricArtifactBuild, "Hash-table build/repair latency by kind.",
 		telemetry.Labels{{Name: "kind", Value: telemetry.BuildKindBuild}})

@@ -87,10 +87,6 @@ type Config struct {
 	// retry and hedged dispatch (see ShardConfig; the zero value leaves
 	// the service unsharded).
 	Shard ShardConfig
-	// SharedScan configures shared-scan batching of co-arrived
-	// compatible queries (see SharedScanConfig; the zero value leaves
-	// it off).
-	SharedScan SharedScanConfig
 	// SlowQueryMillis, when positive, enables the slow-query log: every
 	// query whose end-to-end latency (queueing included) reaches the
 	// threshold emits one structured JSON line with a per-phase span
@@ -128,13 +124,7 @@ type Service struct {
 	// target per configured backend. Immutable after New.
 	targets []shardTarget
 
-	// scans tracks forming shared-scan groups (see sharedscan.go).
-	scans *scanBoard
-
 	queries atomic.Int64
-	// sharedScans counts executed shared-scan passes; sharedMembers
-	// counts queries served through one (batch size 1 included).
-	sharedScans, sharedMembers atomic.Int64
 	// mutations counts committed Mutate calls; repairs counts artifacts
 	// carried onto a new version in place (see mutate.go).
 	mutations, repairs atomic.Int64
@@ -294,13 +284,11 @@ func New(cfg Config) *Service {
 		cfg.AdmitTimeout = 0 // unbounded
 	}
 	cfg.Shard = normalizeShardConfig(cfg.Shard)
-	cfg.SharedScan = normalizeSharedScan(cfg.SharedScan)
 	s := &Service{
 		cfg:      cfg,
 		cache:    newArtifactCache(cfg.CacheBytes),
 		admit:    newAdmission(cfg.Parallelism, cfg.MaxConcurrent, cfg.MaxQueued, cfg.AdmitTimeout),
 		targets:  newShardTargets(cfg.Shard),
-		scans:    newScanBoard(),
 		datasets: make(map[string]*datasetEntry),
 		now:      time.Now,
 	}
@@ -581,12 +569,6 @@ type Result struct {
 	// Shards is the number of partitions the query scattered over
 	// (0 when it executed unsharded).
 	Shards int `json:"shards,omitempty"`
-	// Batch is the number of queries that shared this query's driver
-	// scan, itself included (0 when it ran solo); AttachWait is the
-	// time between this query reaching the scan board and the shared
-	// pass starting — the queue-to-attach latency.
-	Batch      int           `json:"batch,omitempty"`
-	AttachWait time.Duration `json:"attachWaitNs,omitempty"`
 	// Coverage is the row-weighted fraction of the driver relation the
 	// result covers: 1 for a complete answer, less when failed shards
 	// were tolerated under Request.MinCoverage.
@@ -759,33 +741,6 @@ func (s *Service) Query(ctx context.Context, req Request) (res Result, err error
 
 	arts := s.artifactsFor(fp, ver, e, sels)
 
-	// Eligible queries go through the shared-scan board: co-arrived
-	// compatible queries attach to one driver pass (sharedscan.go). A
-	// member the executor nevertheless rejects as incompatible falls
-	// through to the solo path below.
-	if s.sharedScanEligible(req, choice, sels) {
-		chunk := req.ChunkSize
-		if chunk <= 0 {
-			chunk = exec.DefaultChunkSize
-		}
-		opts := exec.Options{
-			Strategy:    choice.Strategy,
-			Order:       choice.Order,
-			FlatOutput:  req.FlatOutput,
-			ChunkSize:   chunk,
-			Parallelism: workers,
-			Ctx:         ctx,
-			Artifacts:   arts,
-			Selections:  sels,
-			Version:     ver,
-			Trace:       tr,
-			TraceParent: root,
-		}
-		if res, ok, qerr := s.querySharedScan(e, req, choice, snap, ver, opts, queued); ok {
-			return res, qerr
-		}
-	}
-
 	start := s.now()
 	stats, err := core.Execute(execDS, choice, core.ExecuteOptions{
 		FlatOutput:   req.FlatOutput,
@@ -940,12 +895,7 @@ type Stats struct {
 	// rebuilt from scratch.
 	Mutations int64 `json:"mutations"`
 	Repairs   int64 `json:"repairs"`
-	// SharedScans counts executed shared-scan passes;
-	// SharedScanMembers counts queries served through one (so members
-	// minus passes is the number of driver scans saved).
-	SharedScans       int64 `json:"sharedScans"`
-	SharedScanMembers int64 `json:"sharedScanMembers"`
-	Active            int   `json:"active"`
+	Active    int   `json:"active"`
 	// Queued is the number of queries waiting for admission.
 	Queued int `json:"queued"`
 	// Draining reports whether the service has stopped admitting.
@@ -971,19 +921,17 @@ func (s *Service) Stats() Stats {
 	s.mu.RUnlock()
 	sort.Slice(breakers, func(i, j int) bool { return breakers[i].Dataset < breakers[j].Dataset })
 	return Stats{
-		Datasets:          nds,
-		Queries:           s.queries.Load(),
-		UptimeMillis:      s.now().Sub(s.started).Milliseconds(),
-		GoVersion:         runtime.Version(),
-		StatsGeneration:   s.statsGen.Add(1),
-		Mutations:         s.mutations.Load(),
-		Repairs:           s.repairs.Load(),
-		SharedScans:       s.sharedScans.Load(),
-		SharedScanMembers: s.sharedMembers.Load(),
-		Active:            s.admit.activeCount(),
-		Queued:            s.admit.queuedCount(),
-		Draining:          s.draining.Load(),
-		Cache:             s.cache.stats(),
+		Datasets:        nds,
+		Queries:         s.queries.Load(),
+		UptimeMillis:    s.now().Sub(s.started).Milliseconds(),
+		GoVersion:       runtime.Version(),
+		StatsGeneration: s.statsGen.Add(1),
+		Mutations:       s.mutations.Load(),
+		Repairs:         s.repairs.Load(),
+		Active:          s.admit.activeCount(),
+		Queued:          s.admit.queuedCount(),
+		Draining:        s.draining.Load(),
+		Cache:           s.cache.stats(),
 		Errors: ErrorCounts{
 			Invalid:  s.errCounts.invalid.Load(),
 			Timeout:  s.errCounts.timeout.Load(),

@@ -123,53 +123,60 @@ func restrictOf(t *testing.T, strat string) []cost.Strategy {
 }
 
 // TestConcurrentWarmClients drives >= 8 concurrent clients against a
-// warmed service: every query must be a full cache hit (zero phase-1
-// builds) with the same checksum. Run under -race in CI, this is the
-// acceptance criterion's concurrency half.
+// warmed service, for every strategy: each query runs independently
+// and must be a full cache hit (zero phase-1 builds, the SJ strategies
+// served from cached reductions) with Stats bit-identical to a warm
+// solo run. Run under -race in CI, this is the acceptance criterion's
+// concurrency half.
 func TestConcurrentWarmClients(t *testing.T) {
 	ds := genDataset(t, 2000, 7)
 	nrel := ds.Tree.Len()
-	svc := New(Config{Parallelism: 4, MaxConcurrent: 4})
-	if _, err := svc.RegisterDataset("ds", ds); err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	req := Request{Dataset: "ds", Strategy: "BVP+COM", FlatOutput: true}
-	warm, err := svc.Query(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantHits := artifactCount("BVP+COM", nrel)
-
-	const clients = 10
-	const perClient = 3
-	var wg sync.WaitGroup
-	errs := make(chan error, clients*perClient)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				res, err := svc.Query(ctx, req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res.Stats.CacheHits != wantHits || res.Stats.CacheMisses != 0 {
-					errs <- fmt.Errorf("hits=%d misses=%d, want %d/0", res.Stats.CacheHits, res.Stats.CacheMisses, wantHits)
-					return
-				}
-				if res.Stats.Checksum != warm.Stats.Checksum {
-					errs <- fmt.Errorf("checksum %#x != warm %#x", res.Stats.Checksum, warm.Stats.Checksum)
-					return
-				}
+	for _, strat := range []string{"STD", "COM", "BVP+STD", "BVP+COM", "SJ+STD", "SJ+COM"} {
+		t.Run(strat, func(t *testing.T) {
+			svc := New(Config{Parallelism: 4, MaxConcurrent: 4})
+			if _, err := svc.RegisterDataset("ds", ds); err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+			req := Request{Dataset: "ds", Strategy: strat, FlatOutput: true}
+			if _, err := svc.Query(ctx, req); err != nil { // cold: fills the cache
+				t.Fatal(err)
+			}
+			warm, err := svc.Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := artifactCount(strat, nrel); warm.Stats.CacheHits != want || warm.Stats.CacheMisses != 0 {
+				t.Fatalf("warm solo: hits=%d misses=%d, want %d/0", warm.Stats.CacheHits, warm.Stats.CacheMisses, want)
+			}
+
+			const clients = 10
+			const perClient = 3
+			var wg sync.WaitGroup
+			errs := make(chan error, clients*perClient)
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perClient; i++ {
+						res, err := svc.Query(ctx, req)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if !reflect.DeepEqual(res.Stats, warm.Stats) {
+							errs <- fmt.Errorf("concurrent stats diverge from warm solo:\n got %+v\nwant %+v", res.Stats, warm.Stats)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -142,8 +142,6 @@ func TestMetricsReconcileWithStats(t *testing.T) {
 	wantSample(t, samples, metricActive, nil, 0)
 	wantSample(t, samples, metricQueued, nil, 0)
 	wantSample(t, samples, metricDraining, nil, 0)
-	wantSample(t, samples, metricSharedScans, nil, st.SharedScans)
-	wantSample(t, samples, metricSharedMembers, nil, st.SharedScanMembers)
 	wantSample(t, samples, metricBreakerOpens, map[string]string{"dataset": "ds"}, 0)
 	wantSample(t, samples, metricBreakerState, map[string]string{"dataset": "ds"}, 0)
 

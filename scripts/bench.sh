@@ -1,11 +1,10 @@
 #!/bin/sh
 # Record a benchmark snapshot for the execution strategies, at
 # parallelism 1, at the full worker sweep, across the shard-count
-# sweep (1/2/4 shards of the scatter-gather layer), for the
-# interleaved-vs-sequential probe pipelines and the shared-scan batch
-# sweep, and for the incremental-maintenance path (ApplyDelta repair
-# vs BuildVersioned cold rebuild on a mutated 200k-row relation), into
-# a JSON file (one object per benchmark, plus environment metadata).
+# sweep (1/2/4 shards of the scatter-gather layer), and for the
+# incremental-maintenance path (ApplyDelta repair vs BuildVersioned
+# cold rebuild on a mutated 200k-row relation), into a JSON file (one
+# object per benchmark, plus environment metadata).
 # Perf PRs record a new snapshot (e.g. BENCH_pr2.json) and compare it
 # against the committed trajectory (BENCH_baseline.json, ...).
 #
@@ -124,8 +123,6 @@ run_group() {
 }
 
 run_group 'BenchmarkStrategies($|Parallel|Sharded)' . strategies
-run_group 'BenchmarkProbeInterleaved' . probe_interleaved
-run_group 'BenchmarkSharedScan' . shared_scan
 run_group 'BenchmarkIncrementalRepair' ./internal/hashtable/ incremental_repair
 cat "$raw" >&2
 
